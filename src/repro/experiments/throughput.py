@@ -151,7 +151,6 @@ def run() -> ExperimentResult:
         workers=2,
         cache_capacity=4096,
         megaflow_capacity=4096,
-        transport="shm",
         depth=4,
     ) as sharded:
         sharded_stats = run_workload(sharded, workload, batch_size=256)

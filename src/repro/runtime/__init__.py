@@ -48,11 +48,11 @@ one table state and results are bitwise-identical to the single-process
 runner.
 
 **Shared-memory transport and stats return.**  Batches cross to the
-workers through :mod:`repro.runtime.transport` (the default
-``transport="shm"``): the parent encodes each batch *once* into a
-columnar :class:`~repro.runtime.transport.PacketBlockCodec`
-shared-memory block (one ``uint64`` lane per 64 field bits, presence
-bytes, identical packet dicts encoded once), workers read their member
+workers through :mod:`repro.runtime.transport`: the parent encodes
+each batch *once* into a columnar
+:class:`~repro.runtime.transport.PacketBlockCodec` shared-memory block
+(one ``uint64`` lane per 64 field bits, presence bytes, identical
+packet dicts encoded once), workers read their member
 rows in place and write :class:`~repro.openflow.pipeline.PipelineResult`
 columns into worker-owned blocks; only mutation suffixes, block names
 and layouts cross the pipes.  Replies carry per-entry
@@ -60,8 +60,7 @@ and layouts cross the pipes.  Replies carry per-entry
 keyed by ``(table_id, position)`` entry refs
 (:class:`~repro.runtime.transport.EntryIndex`), which the parent folds
 back into its authoritative flow entries — flow stats under sharding
-match the single-process run exactly.  ``transport="pickle"`` keeps the
-whole-payload pickling path for comparison benchmarks.
+match the single-process run exactly.
 
 **Pipelined dispatch/collect.**  The transport is double-buffered: each
 direction keeps a ring of ``depth`` shared blocks, so
@@ -85,9 +84,9 @@ volume, and the benches report bits/sec.
 transport's columnar representation, without per-packet dicts.  A
 :class:`~repro.packet.batch.PacketBatch` holds a batch as uint64 lanes
 plus presence bytes over distinct *rows* (duplicate packets share one
-row through a ``pick`` indirection); scenario builders emit it directly
-(``columnar=True`` /
-:func:`~repro.runtime.scenarios.columnar_workload`), and
+row through a ``pick`` indirection);
+:func:`~repro.runtime.scenarios.columnar_workload` converts any
+scenario's packet events into it, and
 :func:`~repro.runtime.batch.run_workload` slices events into views that
 share each event's vectorized key memos.  The microflow tier
 (:meth:`~repro.runtime.cache.MicroflowCache.lookup_batch_columnar`)
@@ -109,9 +108,9 @@ return value — built as packet fields + recorded rewrite overrides,
 bitwise-identical to the dict path, which the differential property
 harness proves across the whole scenario catalog).
 
-**Decode-free worker protocol.**  With a columnar submission
-(``PacketBatch`` through the shm transport) the control message carries
-a ``columnar`` flag; the worker *attaches* to the request block's
+**Decode-free worker protocol.**  When a ``PacketBatch`` is submitted
+to the sharded runner, the control message carries a ``columnar``
+flag; the worker *attaches* to the request block's
 columns in place (:meth:`~repro.runtime.transport.PacketBlockCodec.attach`)
 instead of decoding its member rows, classifies via
 :meth:`~repro.runtime.batch.BatchPipeline.classify_columnar`, and
@@ -195,8 +194,8 @@ observationally invisible), then shed at admission.
 conservation law ``admitted == completed + shed`` (packets and bytes)
 and reports per-packet enqueue→completion latencies in virtual ticks
 with p50/p99/p999 summaries plus the deterministic shed ledger — the
-same report, bit-for-bit, on single-process, sharded and columnar
-paths, with or without worker crashes.
+same report, bit-for-bit, on single-process and sharded runners, with
+or without worker crashes.
 
 **Scenario catalog.**  :mod:`repro.runtime.scenarios` builds replayable
 :class:`~repro.runtime.batch.Workload` objects from a rule set —

@@ -149,26 +149,9 @@ class MicroflowCache:
         ``mask``, when given, receives the table's consulted bits for
         this key (captured on miss, replayed from the record on hit).
         """
-        version = self.table.version
-        key = self.key(packet_fields)
-        record = self._entries.get(key)
-        if record is not None and record.version == version:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            if mask is not None:
-                if record.mask is None:
-                    record.mask = self._capture_mask(packet_fields)
-                _replay_mask(record.mask, mask)
-            return self._outcome(record, packet_fields)
-        if record is not None:
-            self.revalidations += 1
-        self.misses += 1
-        outcome, captured = self._resolve(packet_fields, mask is not None)
-        if mask is not None:
-            assert captured is not None
-            _replay_mask(captured, mask)
-        self._insert(key, outcome, version, captured)
-        return outcome
+        return self.lookup_batch(
+            (packet_fields,), None if mask is None else (mask,)
+        )[0]
 
     def lookup_batch(
         self,
@@ -208,22 +191,20 @@ class MicroflowCache:
                 # Mask capture forces the scalar resolution path, but
                 # duplicate keys — the common case in skewed traffic —
                 # still resolve once per batch and replay their captured
-                # mask (with a stats record per packet, matching the
-                # scalar path).
+                # mask (with a stats record per packet).
                 resolved = []
-                memo: dict[tuple, tuple] = {}
+                memo: dict[tuple, tuple[FlowEntry | None, dict[str, int]]] = {}
                 for position, fields in zip(miss_positions, miss_fields):
                     key = self.key(fields)
                     cached = memo.get(key)
                     if cached is None:
-                        cached = self._resolve(fields, True)
+                        cached = self._resolve(fields)
                         memo[key] = cached
                         self._insert(key, cached[0], version, cached[1])
                     else:
                         if cached[0] is not None:
                             cached[0].stats.record(frame_length(fields))
                     outcome, captured = cached
-                    assert captured is not None
                     _replay_mask(captured, masks[position])
                     resolved.append(outcome)
             elif hasattr(self.table, "lookup_batch"):
@@ -385,12 +366,11 @@ class MicroflowCache:
         return entry
 
     def _resolve(
-        self, packet_fields: Mapping[str, int], want_mask: bool
-    ) -> tuple[FlowEntry | None, dict[str, int] | None]:
-        if want_mask:
-            sink = FieldMaskSink()
-            return self.table.lookup(packet_fields, mask=sink), sink.fields
-        return self.table.lookup(packet_fields), None
+        self, packet_fields: Mapping[str, int]
+    ) -> tuple[FlowEntry | None, dict[str, int]]:
+        """Table lookup for a miss, capturing its consulted-bits mask."""
+        sink = FieldMaskSink()
+        return self.table.lookup(packet_fields, mask=sink), sink.fields
 
     def _capture_mask(self, packet_fields: Mapping[str, int]) -> dict[str, int]:
         """Backfill the consulted-bits mask for a record cached without

@@ -15,12 +15,12 @@ tuples of the same shape.
 
 Tag conventions:
 
-- requests (parent → worker): ``"batch"`` (pickle transport), ``"shm"``
-  (shared-memory transport), ``"close"`` (orderly shutdown);
-- replies (worker → parent): ``"ok"`` with transport-specific payload,
-  ``"block"`` announcing a response-ring segment the worker is about
-  to create (the parent's crash registry), ``"bye"`` acknowledging
-  close;
+- requests (parent → worker): ``"shm"`` (a batch in a shared-memory
+  block), ``"close"`` (orderly shutdown);
+- replies (worker → parent): ``"ok"`` (results in a worker-owned
+  shared-memory block), ``"block"`` announcing a response-ring segment
+  the worker is about to create (the parent's crash registry),
+  ``"bye"`` acknowledging close;
 - parent-internal: ``"inline"`` — a reply shape for sub-batches the
   parent classified in-process (degraded mode); it never crosses a
   pipe but shares the reply buffer with real worker replies.
@@ -33,7 +33,7 @@ assigned, not on however many messages the replacement has seen.
 Mutation-log entries ride inside requests as :data:`Mutation` tuples —
 ``("add", table_id, entry)`` / ``("remove", table_id, match, priority)``
 / ``("expire", table_id, match, priority)`` — the exact shapes
-:class:`~repro.runtime.shard.ShardedPipeline`'s log records.
+:class:`~repro.runtime.shard.ShardedBatchPipeline`'s log records.
 
 ``docs/architecture.md`` ("Sharded shm transport") situates this wire
 protocol in the runtime layer stack.
@@ -90,24 +90,17 @@ class ExpireMutation(NamedTuple):
 Mutation = AddMutation | RemoveMutation | ExpireMutation
 
 
-class BatchRequest(NamedTuple):
-    """Pickle-transport work item: log suffix + this worker's packets.
-
-    ``bypass`` asks the worker to skip its megaflow tier for this batch
-    (the streaming ladder's rung 2); it rides in the request template,
-    so a replayed batch degrades exactly as the original did."""
-
-    kind: Literal["batch"]
-    seq: int
-    mutations: tuple[Mutation, ...]
-    packets: list[dict[str, int]]
-    bypass: bool
-
-
 class ShmRequest(NamedTuple):
     """Shared-memory work item: the batch travels as a block the worker
     attaches to; ``members_key`` names this worker's position array
-    inside it, ``slot`` the response-ring slot to reply through."""
+    inside it, ``slot`` the response-ring slot to reply through.
+
+    ``columnar`` is set when the batch was submitted as a
+    :class:`~repro.packet.batch.PacketBatch` (the worker then classifies
+    the block's columns in place); ``bypass`` asks the worker to skip
+    its megaflow tier for this batch (the streaming ladder's rung 2).
+    Both ride in the request template, so a replayed batch is
+    classified exactly as the original was."""
 
     kind: Literal["shm"]
     seq: int
@@ -126,17 +119,6 @@ class CloseRequest(NamedTuple):
     :class:`ByeReply`."""
 
     kind: Literal["close"]
-
-
-class PickleReply(NamedTuple):
-    """Pickle-transport reply: materialised results plus the worker's
-    learned mask fields, stats snapshot and flow-stats delta."""
-
-    kind: Literal["ok"]
-    results: list[PipelineResult]
-    mask_fields: tuple[str, ...]
-    stats: BatchStats
-    delta: FlowStatsDelta
 
 
 class ShmReply(NamedTuple):
@@ -189,5 +171,5 @@ class ByeReply(NamedTuple):
     kind: Literal["bye"]
 
 
-Request = BatchRequest | ShmRequest | CloseRequest
-Reply = PickleReply | ShmReply | BlockAnnounce | ByeReply
+Request = ShmRequest | CloseRequest
+Reply = ShmReply | BlockAnnounce | ByeReply

@@ -104,8 +104,9 @@ def columnar_workload(workload: Workload) -> Workload:
     shared rows); :func:`~repro.runtime.batch.run_workload` then slices
     it into pipeline-sized views that share the event's column store, so
     vectorized key work is done once per event, not once per chunk.
-    Mutation events pass through untouched.  Every builder below takes a
-    ``columnar=`` knob that applies this conversion.
+    Mutation and advance events pass through untouched.  This is the
+    one way to get a columnar workload: the builders below emit dict
+    traces, and callers that want columns wrap them here.
     """
     events = tuple(
         ("packets", PacketBatch.from_dicts(event[1]))
@@ -143,14 +144,11 @@ def with_clock_advances(workload: Workload, dt: int) -> Workload:
     )
 
 
-def _finish(
-    workload: Workload, columnar: bool, advance: int | None
-) -> Workload:
-    """Shared builder epilogue: optional clock cadence, then columnar
-    conversion (advance events pass through untouched either way)."""
-    if advance is not None:
-        workload = with_clock_advances(workload, advance)
-    return columnar_workload(workload) if columnar else workload
+def _finish(workload: Workload, advance: int | None) -> Workload:
+    """Shared builder epilogue: the optional clock cadence."""
+    if advance is None:
+        return workload
+    return with_clock_advances(workload, advance)
 
 
 def zipf_weights(n: int, s: float = 1.2) -> np.ndarray:
@@ -185,7 +183,6 @@ def uniform_workload(
     flow_count: int = DEFAULT_FLOWS,
     seed: int = DEFAULT_SEED,
     frame_len: str | int | None = DEFAULT_FRAME_DIST,
-    columnar: bool = False,
     advance: int | None = None,
 ) -> Workload:
     """Uniform i.i.d. traffic over the flow pool."""
@@ -198,7 +195,7 @@ def uniform_workload(
         description=f"{packet_count} pkts uniform over {len(flows)} flows",
         events=(("packets", trace),),
     )
-    return _finish(workload, columnar, advance)
+    return _finish(workload, advance)
 
 
 def zipf_workload(
@@ -208,7 +205,6 @@ def zipf_workload(
     s: float = 1.2,
     seed: int = DEFAULT_SEED,
     frame_len: str | int | None = DEFAULT_FRAME_DIST,
-    columnar: bool = False,
     advance: int | None = None,
 ) -> Workload:
     """Zipf-skewed traffic: a few heavy flows dominate the trace."""
@@ -225,7 +221,7 @@ def zipf_workload(
         ),
         events=(("packets", trace),),
     )
-    return _finish(workload, columnar, advance)
+    return _finish(workload, advance)
 
 
 def widen_rule_set(rule_set: RuleSet, noise_field: str = "tcp_src") -> RuleSet:
@@ -256,7 +252,6 @@ def uniform_wide_workload(
     noise_field: str = "tcp_src",
     seed: int = DEFAULT_SEED,
     frame_len: str | int | None = DEFAULT_FRAME_DIST,
-    columnar: bool = False,
     advance: int | None = None,
 ) -> Workload:
     """Uniform traffic whose every packet carries fresh noise bits.
@@ -286,7 +281,7 @@ def uniform_wide_workload(
         ),
         events=(("packets", trace),),
     )
-    return _finish(workload, columnar, advance)
+    return _finish(workload, advance)
 
 
 def bursty_workload(
@@ -296,7 +291,6 @@ def bursty_workload(
     mean_burst: float = 16.0,
     seed: int = DEFAULT_SEED,
     frame_len: str | int | None = DEFAULT_FRAME_DIST,
-    columnar: bool = False,
     advance: int | None = None,
 ) -> Workload:
     """Packet-train traffic: geometric per-flow bursts."""
@@ -314,7 +308,7 @@ def bursty_workload(
         ),
         events=(("packets", trace),),
     )
-    return _finish(workload, columnar, advance)
+    return _finish(workload, advance)
 
 
 def churn_workload(
@@ -327,7 +321,6 @@ def churn_workload(
     seed: int = DEFAULT_SEED,
     entries: Sequence[FlowEntry] | None = None,
     frame_len: str | int | None = DEFAULT_FRAME_DIST,
-    columnar: bool = False,
     advance: int | None = None,
 ) -> Workload:
     """Zipf traffic interleaved with rule uninstall/reinstall cycles.
@@ -385,7 +378,7 @@ def churn_workload(
         ),
         events=tuple(events),
     )
-    return _finish(workload, columnar, advance)
+    return _finish(workload, advance)
 
 
 def timeout_churn_workload(
@@ -400,7 +393,6 @@ def timeout_churn_workload(
     table_id: int = 0,
     seed: int = DEFAULT_SEED,
     frame_len: str | int | None = DEFAULT_FRAME_DIST,
-    columnar: bool = False,
 ) -> Workload:
     """Mice/elephant mix where the expiry sweep does the churning.
 
@@ -484,7 +476,7 @@ def timeout_churn_workload(
         ),
         events=tuple(events),
     )
-    return columnar_workload(workload) if columnar else workload
+    return workload
 
 
 #: The scenario catalog: name -> builder(rule_set, **kwargs) -> Workload.

@@ -28,13 +28,11 @@ batch instead of splitting one batch across two table states — and
 replicas stay sequentially consistent with the single-process runner,
 results bitwise-identical.
 
-**Transport** is shared-memory by default (``transport="shm"``): the
-parent encodes each batch once into a columnar
-:class:`~repro.runtime.transport.PacketBlockCodec` block, workers read
-their member rows in place and write results into worker-owned blocks,
-and only tiny control messages (mutation suffixes, block names, layouts)
-cross the pipes.  ``transport="pickle"`` keeps the PR-2 whole-payload
-pickling path for comparison benchmarks.  Either way, every reply
+**Transport** is shared memory: the parent encodes each batch once
+into a columnar :class:`~repro.runtime.transport.PacketBlockCodec`
+block, workers read their member rows in place and write results into
+worker-owned blocks, and only tiny control messages (mutation
+suffixes, block names, layouts) cross the pipes.  Every reply
 carries a :class:`~repro.runtime.transport.FlowStatsDelta` — per-entry
 packet/byte counts the parent folds back into its authoritative
 :class:`~repro.openflow.flow.FlowEntry` counters — so flow stats match
@@ -62,10 +60,10 @@ while waiting are parked in a ``(seq, worker)`` buffer and handed out
 at their own collect.  Ring-slot safety is preserved: submitting onto a
 slot still held by an uncollected batch raises.
 
-**Columnar submissions** (a :class:`~repro.packet.batch.PacketBatch`
-through the shm transport) make the workers *decode-free*: the control
-message carries a ``columnar`` flag, the worker attaches to the request
-block's columns in place and classifies through
+**Columnar submissions** (a :class:`~repro.packet.batch.PacketBatch`)
+make the workers *decode-free*: the control message carries a
+``columnar`` flag, the worker attaches to the request block's columns
+in place and classifies through
 :meth:`~repro.runtime.batch.BatchPipeline.classify_columnar`, encoding
 its reply straight from the megaflow templates
 (:func:`~repro.runtime.transport.encode_outcomes`) — only rows that
@@ -129,14 +127,12 @@ from repro.runtime.lifecycle import (
 )
 from repro.runtime.protocol import (
     AddMutation,
-    BatchRequest,
     BlockAnnounce,
     ByeReply,
     CloseRequest,
     ExpireMutation,
     InlineReply,
     Mutation,
-    PickleReply,
     RemoveMutation,
     ShmReply,
     ShmRequest,
@@ -167,9 +163,6 @@ from repro.runtime.transport import (
     ensure_resource_tracker,
     unlink_segment,
 )
-
-TRANSPORTS = ("shm", "pickle")
-
 
 # ----------------------------------------------------------------------
 # picklable pipeline snapshots
@@ -382,33 +375,6 @@ def _apply_mutations(
             raise ValueError(f"unknown mutation kind {mutation[0]!r}")
 
 
-def _serve_pickle(
-    runner: BatchPipeline,
-    index: EntryIndex,
-    message: BatchRequest,
-    faults: FaultPlan,
-    worker_id: int,
-) -> PickleReply:
-    _, seq, mutations, packets, bypass = message
-    faults.fire(worker_id, seq, "after-receive")
-    _apply_mutations(runner.pipeline, mutations)
-    faults.fire(worker_id, seq, "mid-classify")
-    runner.megaflow_bypass = bypass
-    results = runner.process_batch(packets)
-    runner.megaflow_bypass = False
-    delta = FlowStatsDelta.from_results(results, index)
-    faults.fire(worker_id, seq, "after-stats")
-    reply = PickleReply(
-        "ok",
-        results,
-        _mask_fields(runner),
-        runner.stats_snapshot(),
-        delta,
-    )
-    faults.fire(worker_id, seq, "before-reply")
-    return reply
-
-
 def _serve_shm(
     runner: BatchPipeline,
     index: EntryIndex,
@@ -445,7 +411,7 @@ def _serve_shm(
         packets = codec.decode(reader, layout, reader.get(members_key))
         results = runner.process_batch(packets)
         result_layout, vocabulary, delta = encode_results(
-            writer, results, index, codec, inputs=packets
+            writer, results, index, packets
         )
     runner.megaflow_bypass = False
     faults.fire(worker_id, seq, "after-stats")
@@ -489,9 +455,8 @@ def _worker_main(
 ) -> None:
     """Worker loop: apply log suffix, classify sub-batch, reply.
 
-    Speaks both transports (the message tag selects): ``("batch", ...)``
-    is the pickle path, ``("shm", seq, slot, ...)`` the shared-memory
-    path.  Either reply carries the worker's megaflow mask fields, its
+    Each ``("shm", seq, slot, ...)`` request is answered with a
+    :class:`ShmReply` carrying the worker's megaflow mask fields, its
     stats snapshot and the batch's flow-stats delta.
 
     The worker owns a ring of ``depth`` response blocks, indexed by the
@@ -540,11 +505,7 @@ def _worker_main(
                     return
             message = conn.recv()
             kind = message[0]
-            if kind == "batch":
-                conn.send(
-                    _serve_pickle(runner, index, message, faults, worker_id)
-                )
-            elif kind == "shm":
+            if kind == "shm":
                 conn.send(
                     _serve_shm(
                         runner,
@@ -605,7 +566,7 @@ class _InFlight:
     groups: dict[int, list[int]]
     pinned: Mapping[int, tuple]
     log_len: int
-    sends: dict[int, BatchRequest | ShmRequest] = field(default_factory=dict)
+    sends: dict[int, ShmRequest] = field(default_factory=dict)
     #: Megaflow-bypass flag the batch was submitted with; the degraded
     #: inline path reads it here (live workers read it off the wire).
     bypass: bool = False
@@ -640,28 +601,23 @@ class ShardedBatchPipeline:
             omitted, sharding starts on the full field tuple and
             converges onto the megaflow-consulted union the workers
             report.
-        transport: ``"shm"`` (columnar shared-memory blocks, the
-            default) or ``"pickle"`` (whole payloads through the pipe).
         depth: maximum batches in flight (submitted, not yet collected).
             ``depth >= 2`` double-buffers the transport: the parent
             encodes and dispatches batch N+1 while the workers are still
             classifying batch N (each direction keeps a ring of
             ``depth`` shared blocks, so an in-flight batch's columns are
-            never overwritten).  ``depth=1`` is the lockstep PR-3
-            behaviour.  :meth:`process_batch` is always lockstep;
+            never overwritten).  ``depth=1`` is lockstep.
+            :meth:`process_batch` is always lockstep;
             :meth:`process_batches` (and
             :func:`~repro.runtime.batch.run_workload`, which calls it)
             exploit the ring.
 
-            Pipelining is an shm-transport feature: with
-            ``transport="pickle"`` the depth is clamped to 1, because
-            whole payloads cross the pipes — a request and a reply each
-            larger than the pipe buffer would leave the parent blocked
-            sending batch N+1 while the worker blocks sending batch N's
-            reply, a deadlock the lockstep recv-before-send round-trip
-            makes impossible.  Shm control messages (block names,
-            layouts, member keys) are small by construction; the one
-            unbounded rider — the mutation-log suffix — is bounded by
+            Pipelining is safe because control messages (block names,
+            layouts, member keys) are small by construction: a request
+            and a reply each larger than the pipe buffer would leave the
+            parent blocked sending batch N+1 while the worker blocks
+            sending batch N's reply.  The one unbounded rider — the
+            mutation-log suffix — is bounded by
             :data:`MAX_PIPELINED_MUTATION_BACKLOG`: past it, the stream
             drains in flight before submitting (and
             :meth:`submit_batch` raises), so a big suffix is only ever
@@ -686,7 +642,6 @@ class ShardedBatchPipeline:
         cache_capacity: int | None = DEFAULT_CAPACITY,
         megaflow_capacity: int | None = None,
         shard_fields: Sequence[str] | None = None,
-        transport: str = "shm",
         depth: int = 2,
         supervision: SupervisionConfig | None = None,
         fault_plan: FaultPlan | None = None,
@@ -694,18 +649,10 @@ class ShardedBatchPipeline:
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-            )
         if depth < 1:
             raise ValueError(f"pipeline depth must be positive, got {depth}")
         self.workers = workers or max(1, os.cpu_count() or 1)
-        self.transport = transport
-        # See the depth docstring: whole-payload pickling can fill both
-        # pipe directions at once, so the pickle transport stays
-        # lockstep.
-        self.depth = depth if transport == "shm" else 1
+        self.depth = depth
         self._authoritative = pipeline
         self._log: list[Mutation] = []
         self._mutation_lock = threading.Lock()
@@ -1348,10 +1295,7 @@ class ShardedBatchPipeline:
             pinned = self._entry_index.pin()
         seq = self._seq
         groups = self._shard_groups(batch)
-        if self.transport == "shm":
-            sends = self._encode_shm(seq, batch, groups, bypass)
-        else:
-            sends = self._encode_pickle(seq, batch, groups, bypass)
+        sends = self._encode(seq, batch, groups, bypass)
         # Registered before dispatch: a send that trips over a corpse
         # recovers mid-submit, and recovery reads the in-flight record.
         self._inflight[seq] = _InFlight(
@@ -1372,29 +1316,13 @@ class ShardedBatchPipeline:
                 self._dispatch_or_recover(seq, worker)
         return True
 
-    def _encode_pickle(
+    def _encode(
         self,
         seq: int,
         batch: Sequence[Mapping[str, int]] | PacketBatch,
         groups: Mapping[int, list[int]],
         bypass: bool = False,
-    ) -> dict[int, BatchRequest | ShmRequest]:
-        """Request templates (empty mutation suffix) per live worker."""
-        return {
-            worker: BatchRequest(
-                "batch", seq, (), [batch[i] for i in members], bypass
-            )
-            for worker, members in groups.items()
-            if worker not in self._supervisor.disabled
-        }
-
-    def _encode_shm(
-        self,
-        seq: int,
-        batch: Sequence[Mapping[str, int]] | PacketBatch,
-        groups: Mapping[int, list[int]],
-        bypass: bool = False,
-    ) -> dict[int, BatchRequest | ShmRequest]:
+    ) -> dict[int, ShmRequest]:
         """Encode the batch once into its ring slot; request templates
         (empty mutation suffix) per live worker."""
         live = [
@@ -1466,7 +1394,7 @@ class ShardedBatchPipeline:
 
     def _take_reply(
         self, seq: int, worker: int
-    ) -> PickleReply | ShmReply | InlineReply:
+    ) -> ShmReply | InlineReply:
         """The reply ``worker`` sent for batch ``seq``.
 
         A worker's pipe delivers replies in the order its batches were
@@ -1515,7 +1443,7 @@ class ShardedBatchPipeline:
         if message[0] == "block":
             self._supervisor.register_block(worker, message[2])
             return False
-        if message[0] == "ok" and self.transport == "shm":
+        if message[0] == "ok":
             self._supervisor.register_block(worker, message[1])
         arrived = self._worker_pending[worker].popleft()
         self._reply_buffer[(arrived, worker)] = message
@@ -1534,15 +1462,12 @@ class ShardedBatchPipeline:
             assert reply[0] in ("ok", "inline")
             if reply[0] == "inline":
                 _, worker_results, stats, delta = reply
-            elif self.transport == "shm":
+            else:
                 worker_results, mask_fields, stats, delta = (
                     self._decode_reply(
                         reply, pinned, [batch[i] for i in members]
                     )
                 )
-                self._learned_fields.update(mask_fields)
-            else:
-                _, worker_results, mask_fields, stats, delta = reply
                 self._learned_fields.update(mask_fields)
             for i, result in zip(members, worker_results):
                 results[i] = result
@@ -1582,13 +1507,12 @@ class ShardedBatchPipeline:
         proc.join(timeout=self.CLOSE_TIMEOUT)
         self._drain_dead_pipe(worker)
         self._conns[worker].close()
-        if self.transport == "shm":
-            # Replies parked before death still point into the dead
-            # worker's blocks: attach them now so the views survive the
-            # unlink below until their batches are decoded.
-            for (_, w), reply in self._reply_buffer.items():
-                if w == worker and reply[0] == "ok":
-                    self._responses.buf(reply[1])
+        # Replies parked before death still point into the dead worker's
+        # blocks: attach them now so the views survive the unlink below
+        # until their batches are decoded.
+        for (_, w), reply in self._reply_buffer.items():
+            if w == worker and reply[0] == "ok":
+                self._responses.buf(reply[1])
         for name in sup.drain_blocks(worker):
             unlink_segment(name)
         lost = list(self._worker_pending[worker])
@@ -1657,8 +1581,7 @@ class ShardedBatchPipeline:
             if message[0] == "block":
                 self._supervisor.register_block(worker, message[2])
             elif message[0] == "ok" and self._worker_pending[worker]:
-                if self.transport == "shm":
-                    self._supervisor.register_block(worker, message[1])
+                self._supervisor.register_block(worker, message[1])
                 arrived = self._worker_pending[worker].popleft()
                 self._reply_buffer[(arrived, worker)] = message
 

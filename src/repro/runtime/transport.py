@@ -1,11 +1,9 @@
 """Shared-memory columnar transport for the sharded runtime.
 
-The PR-2 sharded runner pickled whole packet batches (and whole
-:class:`~repro.openflow.pipeline.PipelineResult` lists) through a
-``multiprocessing`` pipe per worker per batch — on small batches the
-serialisation round-trip dominated the workers' useful work (ROADMAP
-"Open items").  This module replaces the payload path with shared
-memory; only tiny control messages cross the pipe:
+Packet batches and :class:`~repro.openflow.pipeline.PipelineResult`
+lists travel between the parent and its workers through shared memory
+rather than being pickled through a ``multiprocessing`` pipe per worker
+per batch; only tiny control messages cross the pipe:
 
 **Packet blocks.**  :class:`PacketBlockCodec` lays a batch out as flat
 numpy columns — per field, one ``uint64`` lane per 64 bits of width
@@ -21,10 +19,11 @@ the same block), so fan-out cost no longer scales with worker count.
 **Result blocks.**  Workers encode their
 :class:`~repro.openflow.pipeline.PipelineResult` lists columnar into a
 worker-owned block: fixed-width columns for flags/metadata, offset+value
-columns for the variable-length lists, the final-fields dicts through
-the packet codec, applied actions as indices into a tiny per-batch
-action vocabulary (pickled in the control reply — distinct actions per
-batch are few), and matched entries as ``(table_id, position)``
+columns for the variable-length lists, final fields as rewrite
+overrides against the input packets the parent already holds, applied
+actions as indices into a tiny per-batch action vocabulary (pickled in
+the control reply — distinct actions per batch are few), and matched
+entries as ``(table_id, position)``
 **entry refs** resolved against each side's own tables.
 
 **Entry refs and the stats return path.**  :class:`EntryIndex` maps
@@ -598,16 +597,14 @@ class FlowStatsDelta:
 class ResultBlockLayout:
     """Decode recipe for one worker's encoded result list.
 
-    ``fields`` is only present when the results were encoded without
-    their input packets; with inputs, final fields travel as
-    ``overrides`` — per-packet rewrite dicts (usually all empty, so
-    effectively free) — and the decoder rebuilds each ``final_fields``
-    from the input dict it already holds, exactly like megaflow replay.
+    Final fields travel as ``overrides`` — per-packet rewrite dicts
+    (usually all ``None``, so effectively free) — and the decoder
+    rebuilds each ``final_fields`` from the input dict it already
+    holds, exactly like megaflow replay.
     """
 
     count: int
-    fields: PacketBlockLayout | None
-    overrides: tuple[dict[str, int] | None, ...] = ()
+    overrides: tuple[dict[str, int] | None, ...]
 
 
 _RESULT_SENT = 1
@@ -618,39 +615,27 @@ def encode_results(
     writer: BlockWriter,
     results: Sequence[PipelineResult],
     index: EntryIndex,
-    codec: PacketBlockCodec,
-    inputs: Sequence[Mapping[str, int]] | None = None,
+    inputs: Sequence[Mapping[str, int]],
 ) -> tuple[ResultBlockLayout, list, FlowStatsDelta]:
     """Encode a worker's results columnar; returns the layout, the
     per-batch action vocabulary (for the control reply) and the
     flow-stats delta (computed here because the matched-entry refs are
     already in hand).
 
-    ``inputs``, when given, must be the packets the results came from
-    (aligned): final fields are then shipped as rewrite overrides
-    against them instead of full columns — processing never deletes a
-    header field, so ``final_fields`` is always the input plus zero or
-    more rewritten/added keys.
+    ``inputs`` are the packets the results came from (aligned): final
+    fields are shipped as rewrite overrides against them — processing
+    never deletes a header field, so ``final_fields`` is always the
+    input plus zero or more rewritten/added keys.
     """
-    n = len(results)
     frame_lens = [frame_length(result.final_fields) for result in results]
     vocabulary, delta = _encode_core(writer, results, frame_lens, index)
-    if inputs is None:
-        layout = ResultBlockLayout(
-            count=n,
-            fields=codec.encode(
-                writer, [result.final_fields for result in results], "res/fields"
-            ),
-        )
-    else:
-        layout = ResultBlockLayout(
-            count=n,
-            fields=None,
-            overrides=tuple(
-                _overrides(result.final_fields, packet)
-                for result, packet in zip(results, inputs)
-            ),
-        )
+    layout = ResultBlockLayout(
+        count=len(results),
+        overrides=tuple(
+            _overrides(result.final_fields, packet)
+            for result, packet in zip(results, inputs)
+        ),
+    )
     return layout, vocabulary, delta
 
 
@@ -684,9 +669,7 @@ def encode_outcomes(
     vocabulary, delta = _encode_core(
         writer, results, outcomes.frame.tolist(), index
     )
-    layout = ResultBlockLayout(
-        count=len(results), fields=None, overrides=tuple(overrides)
-    )
+    layout = ResultBlockLayout(count=len(results), overrides=tuple(overrides))
     return layout, vocabulary, delta
 
 
@@ -769,16 +752,15 @@ def decode_results(
     layout: ResultBlockLayout,
     vocabulary: Sequence,
     entry_at: Callable[[int, int], FlowEntry],
-    inputs: Sequence[Mapping[str, int]] | None = None,
+    inputs: Sequence[Mapping[str, int]],
 ) -> list[PipelineResult]:
     """Rebuild the results, resolving matched-entry refs through
     ``entry_at`` — on the parent, against the batch-pinned authoritative
     tables, so results reference the parent's own entries.
 
-    ``inputs`` must mirror the encode call: when results were encoded
-    against their input packets, pass the same packets (the parent's
-    own batch members) and ``final_fields`` is rebuilt as input dict +
-    overrides.
+    ``inputs`` must be the packets the results were encoded against
+    (the parent's own batch members); ``final_fields`` is rebuilt as
+    input dict + overrides.
     """
     n = layout.count
     flags = reader.get("res/flags")
@@ -787,19 +769,16 @@ def decode_results(
     ports = _get_ragged(reader, "res/ports", n)
     matched = _get_ragged(reader, "res/matched", n)
     actions = _get_ragged(reader, "res/actions", n)
-    if layout.fields is not None:
-        final_fields = PacketBlockCodec().decode(reader, layout.fields)
-    else:
-        assert inputs is not None and len(inputs) == n, (
-            "results were encoded against their inputs; decoding needs "
-            "the same packets"
-        )
-        final_fields = []
-        for packet, overrides in zip(inputs, layout.overrides):
-            fields = dict(packet)
-            if overrides:
-                fields.update(overrides)
-            final_fields.append(fields)
+    assert len(inputs) == n, (
+        "results were encoded against their inputs; decoding needs the "
+        "same packets"
+    )
+    final_fields = []
+    for packet, overrides in zip(inputs, layout.overrides):
+        fields = dict(packet)
+        if overrides:
+            fields.update(overrides)
+        final_fields.append(fields)
 
     results: list[PipelineResult] = []
     for i in range(n):

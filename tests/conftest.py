@@ -15,6 +15,15 @@ from repro.filters.synthetic import (
 from repro.openflow.match import ExactMatch, PrefixMatch, RangeMatch
 from repro.packet.generator import PacketGenerator, TraceConfig
 
+
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers",
+        "slow: builds the full-size paper filter sets (tens of seconds); "
+        "deselect with -m 'not slow'",
+    )
+
+
 #: A small synthetic stats row so fixtures build fast (bbrb-scale).
 SMALL_MAC_STATS = MacFilterStats("testmac", 151, 16, 26, 38, 55)
 SMALL_ROUTING_STATS = RoutingFilterStats("testroute", 400, 12, 40, 90)

@@ -10,8 +10,8 @@ classification paths —
 4. microflow-cached batch,
 5. two-tier megaflow batch,
 6. sharded shared-memory, pipelined (``ShardedBatchPipeline``,
-   transport="shm", depth=3 — bursts stream through the
-   double-buffered dispatch/collect loop),
+   depth=3 — bursts stream through the double-buffered
+   dispatch/collect loop),
 7. sharded with shared sealed rule state (``shared_rules=True`` —
    workers attach read-only :mod:`repro.runtime.rulestate` snapshots
    instead of rebuilding replicas, mutations replay from the log),
@@ -375,7 +375,6 @@ RUNNERS = {
             workers=2,
             cache_capacity=16,
             megaflow_capacity=32,
-            transport="shm",
             depth=3,
         ),
     ),
@@ -386,7 +385,6 @@ RUNNERS = {
             workers=2,
             cache_capacity=16,
             megaflow_capacity=32,
-            transport="shm",
             depth=3,
             shared_rules=True,
         ),
@@ -410,7 +408,6 @@ RUNNERS = {
             workers=2,
             cache_capacity=16,
             megaflow_capacity=32,
-            transport="shm",
             depth=3,
         ),
         True,
@@ -457,7 +454,6 @@ def test_sharded_equivalent_under_chaos(example):
             workers=2,
             cache_capacity=16,
             megaflow_capacity=32,
-            transport="shm",
             depth=3,
             fault_plan=plan,
         ),
@@ -547,7 +543,6 @@ _stream_example = st.fixed_dictionaries(
         "deadline": st.one_of(
             st.none(), st.integers(min_value=1, max_value=48)
         ),
-        "columnar": st.booleans(),
         "degrade_after": st.integers(min_value=1, max_value=4),
     }
 )
@@ -577,7 +572,6 @@ def test_stream_conservation_and_determinism(example):
         window=example["window"],
         policy="tail" if example["deadline"] is None else "deadline",
         deadline=example["deadline"],
-        columnar=example["columnar"],
         service_rate=example["service_rate"],
         degrade_after=example["degrade_after"],
     )

@@ -221,15 +221,14 @@ def _runners():
             workers=2,
             cache_capacity=16,
             megaflow_capacity=32,
-            transport="shm",
             depth=3,
         ),
-        "sharded-pickle": lambda: ShardedBatchPipeline(
+        "sharded-depth1": lambda: ShardedBatchPipeline(
             _pipeline(),
             workers=2,
             cache_capacity=16,
             megaflow_capacity=32,
-            transport="pickle",
+            depth=1,
         ),
     }
 

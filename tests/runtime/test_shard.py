@@ -27,6 +27,11 @@ def make_arch(rule_set):
     return MultiTableLookupArchitecture([build_lookup_table(rule_set)])
 
 
+#: Ring depths the differential tests run at: lockstep (one batch in
+#: flight) and the default double-buffered ring.
+DEPTHS = [pytest.param(1, id="shm-lockstep"), pytest.param(2, id="shm")]
+
+
 class TestPipelineSpec:
     def test_snapshot_pickles_and_rebuilds(self, small_routing_set):
         arch = make_arch(small_routing_set)
@@ -49,14 +54,15 @@ class TestPipelineSpec:
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
+    @pytest.mark.parametrize("depth", DEPTHS)
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_sharded_matches_single_process(
-        self, small_routing_set, name, transport
+        self, small_routing_set, name, depth
     ):
         """Acceptance: 4 workers, bitwise-identical results on every
         scenario in the catalog (churn included: the mutation log must
-        keep replicas sequentially consistent), on both transports."""
+        keep replicas sequentially consistent), lockstep and
+        pipelined."""
         workload = SCENARIOS[name](
             small_routing_set, packet_count=200, flow_count=12
         )
@@ -73,7 +79,7 @@ class TestDifferential:
             workers=4,
             cache_capacity=128,
             megaflow_capacity=256,
-            transport=transport,
+            depth=depth,
         ) as sharded:
             got = run_workload(
                 sharded, workload, batch_size=50, keep_results=True
@@ -167,12 +173,6 @@ class TestMutationCatchUp:
         with pytest.raises(ValueError):
             ShardedBatchPipeline(make_arch(small_routing_set), workers=0)
 
-    def test_transport_validated(self, small_routing_set):
-        with pytest.raises(ValueError):
-            ShardedBatchPipeline(
-                make_arch(small_routing_set), workers=1, transport="carrier-pigeon"
-            )
-
     def test_mutation_log_pruned_after_catch_up(self, small_routing_set):
         """Long churn must not grow the log without bound: once every
         worker has replayed it, the snapshot absorbs it."""
@@ -236,9 +236,9 @@ class TestMidBatchMutation:
             instructions=[WriteActions([OutputAction(100 + port)])],
         )
 
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
+    @pytest.mark.parametrize("depth", DEPTHS)
     def test_mid_batch_mutation_defers_uniformly(
-        self, small_routing_set, transport
+        self, small_routing_set, depth
     ):
         probe = [
             {"in_port": 5, "ipv4_dst": destination}
@@ -249,7 +249,7 @@ class TestMidBatchMutation:
             workers=2,
             cache_capacity=64,
             megaflow_capacity=128,
-            transport=transport,
+            depth=depth,
         ) as sharded:
             # The probe must actually straddle both workers for the
             # mixed-state hazard to exist.
@@ -358,11 +358,8 @@ class TestPipelined:
         trace = event[1]
         return [trace[i : i + size] for i in range(0, len(trace), size)]
 
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    @pytest.mark.parametrize("depth", [2, 4])
-    def test_stream_matches_lockstep(
-        self, small_routing_set, transport, depth
-    ):
+    @pytest.mark.parametrize("depth", [2, 4], ids=["2-shm", "4-shm"])
+    def test_stream_matches_lockstep(self, small_routing_set, depth):
         batches = self.batches(small_routing_set)
         single = BatchPipeline(
             make_arch(small_routing_set), cache_capacity=64
@@ -372,13 +369,9 @@ class TestPipelined:
             make_arch(small_routing_set),
             workers=2,
             cache_capacity=64,
-            transport=transport,
             depth=depth,
         ) as sharded:
-            # Pipelining is shm-only: whole-payload pickling can fill
-            # both pipe directions at once (deadlock), so pickle clamps
-            # to lockstep — process_batches still streams correctly.
-            assert sharded.depth == (depth if transport == "shm" else 1)
+            assert sharded.depth == depth
             got = list(sharded.process_batches(batches))
             assert sharded.in_flight == 0
             flow_packets = sharded.flow_packets
@@ -490,15 +483,6 @@ class TestPipelined:
         for got_chunk, expected_chunk in zip(got, expected):
             for a, b in zip(got_chunk, expected_chunk):
                 assert_same_result(a, b)
-
-    def test_pickle_transport_clamps_depth(self, small_routing_set):
-        sharded = ShardedBatchPipeline(
-            make_arch(small_routing_set),
-            workers=1,
-            transport="pickle",
-            depth=4,
-        )
-        assert sharded.depth == 1
 
     def test_mutation_between_submissions_lands_between_batches(
         self, small_routing_set
@@ -756,7 +740,7 @@ class TestOutOfOrderCollect:
 
 class TestColumnarSharded:
     """Decode-free workers: columnar submissions classify off the block
-    columns and stay bitwise-identical to the dict transport."""
+    columns and stay bitwise-identical to dict submissions."""
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_columnar_matches_single_process(self, small_routing_set, name):

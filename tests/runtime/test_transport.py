@@ -208,19 +208,19 @@ class TestResultBlocks:
         index = EntryIndex(pipeline)
         out = OutputAction(101)
         rewrite = SetFieldAction("vlan_vid", 42)
+        packets = [{"in_port": 1}, {"in_port": 9}, {"in_port": 3}]
         results = [
-            _result([0], [entries[0]], [101], {"in_port": 1}, [rewrite, out]),
-            _result([0], [], [0xFFFFFFFD], {"in_port": 9}),
-            _result([0], [entries[2]], [103], {"in_port": 3}, [out]),
+            _result([0], [entries[0]], [101], packets[0], [rewrite, out]),
+            _result([0], [], [0xFFFFFFFD], packets[1]),
+            _result([0], [entries[2]], [103], packets[2], [out]),
         ]
         results[1].sent_to_controller = True
         results[2].metadata = (1 << 64) - 1
         results[2].final_fields["metadata"] = results[2].metadata
 
-        codec = PacketBlockCodec()
         writer = BlockWriter()
         layout, vocabulary, delta = encode_results(
-            writer, results, index, codec
+            writer, results, index, packets
         )
         assert delta.counts == {(0, 0): (1, 0), (0, 2): (1, 0)}
         block = SharedBlock()
@@ -233,6 +233,7 @@ class TestResultBlocks:
                 layout,
                 vocabulary,
                 lambda table_id, position: pinned[table_id][position],
+                packets,
             )
             del reader
         finally:
@@ -267,16 +268,10 @@ class TestResultBlocks:
             [102],
             dict(packets[1], vlan_vid=42, metadata=9),
         )
-        codec = PacketBlockCodec()
         writer = BlockWriter()
         layout, vocabulary, _ = encode_results(
-            writer,
-            [untouched, rewritten],
-            index,
-            codec,
-            inputs=packets,
+            writer, [untouched, rewritten], index, packets
         )
-        assert layout.fields is None
         assert layout.overrides == (None, {"vlan_vid": 42, "metadata": 9})
         block = SharedBlock()
         try:
@@ -288,7 +283,7 @@ class TestResultBlocks:
                 layout,
                 vocabulary,
                 lambda table_id, position: pinned[table_id][position],
-                inputs=packets,
+                packets,
             )
             del reader
         finally:
