@@ -71,6 +71,11 @@ ABSOLUTE_FLOORS = {
     # from the baseline's: it catches an order-of-magnitude collapse,
     # not drift.
     "shm_lockstep_vs_single_small_batch": 0.03,
+    # Large-batch sharded vs single-process: 0.52-0.67 in six smoke runs
+    # on 2 cpus once dict batches took the columnar worker path.  Same
+    # role as the lockstep floor: an order-of-magnitude collapse fails
+    # on any host, whatever its cpu stamp.
+    "sharded_vs_single": 0.05,
     "pipelined_vs_serial_shm_small_batch": 0.8,
     "columnar_vs_dict_cached_batch": 0.6,
     "columnar_vs_dict_megaflow_uniform_wide": 0.6,

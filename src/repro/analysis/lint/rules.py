@@ -266,8 +266,8 @@ _KEY_CALLEES = frozenset(
     }
 )
 
-#: Keyword arguments that define match/shard schemas at construction.
-_SCHEMA_KEYWORDS = frozenset({"field_names", "shard_fields"})
+#: Keyword arguments that define match schemas at construction.
+_SCHEMA_KEYWORDS = frozenset({"field_names"})
 
 
 @register
@@ -282,7 +282,7 @@ class FrameLenExclusionRule(Rule):
     hint = (
         "frame lengths feed FlowStats.record and byte accounting only; "
         "filter the field out (name != FRAME_LEN_FIELD) before building "
-        "keys, masks or shard schemas"
+        "keys, masks or shard hashes"
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -308,7 +308,7 @@ class FrameLenExclusionRule(Rule):
                         self,
                         keyword.value,
                         f"frame_len appears in the {keyword.arg}= schema — "
-                        f"match/shard schemas must exclude it",
+                        f"match schemas must exclude it",
                     )
 
 
@@ -341,8 +341,8 @@ class HotPathPurityRule(Rule):
     description = (
         "columnar hot-tier functions (lookup_batch_columnar, probe_rows, "
         "classify_columnar, ...) must not bulk-materialise dicts "
-        "(.dicts()/.decode()) nor, in the probe/credit tiers, construct "
-        "per-row PipelineResults"
+        "(.dicts() or a bulk decode) nor, in the probe/credit tiers, "
+        "construct per-row PipelineResults"
     )
     hint = (
         "stay on the uint64 lanes: aggregate stats from the frame_len "

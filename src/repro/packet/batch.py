@@ -3,7 +3,7 @@
 A :class:`PacketBatch` holds one batch of extracted-field dicts as dense
 numpy columns: per field, one ``uint64`` lane per 64 bits of value width
 plus an optional presence byte, exactly the layout the shared-memory
-:class:`~repro.runtime.transport.PacketBlockCodec` ships between
+transport (:func:`~repro.runtime.transport.encode_batch`) ships between
 processes.  Identical packet *objects* (traces sample flow pools of
 shared dicts) are stored once as a **row**; a ``pick`` indirection array
 maps batch positions onto rows, so duplicate-heavy traffic keeps its

@@ -293,7 +293,7 @@ def transport_schema() -> dict[str, int]:
     The union of every match field a header can contribute plus the
     context fields, in deterministic (stack, then context) order, with
     widths from the OXM registry.  This is the column order the
-    shared-memory :class:`~repro.runtime.transport.PacketBlockCodec`
+    shared-memory transport (:func:`~repro.runtime.transport.encode_batch`)
     lays batches out in; fields outside the schema are appended per
     batch, so the schema is a fast path, not a constraint.
 

@@ -48,14 +48,14 @@ one table state and results are bitwise-identical to the single-process
 runner.
 
 **Shared-memory transport and stats return.**  Batches cross to the
-workers through :mod:`repro.runtime.transport`: the parent encodes
-each batch *once* into a columnar
-:class:`~repro.runtime.transport.PacketBlockCodec` shared-memory block
-(one ``uint64`` lane per 64 field bits, presence bytes, identical
-packet dicts encoded once), workers read their member
-rows in place and write :class:`~repro.openflow.pipeline.PipelineResult`
-columns into worker-owned blocks; only mutation suffixes, block names
-and layouts cross the pipes.  Replies carry per-entry
+workers through :mod:`repro.runtime.transport`: the parent writes each
+batch's :class:`~repro.packet.batch.PacketBatch` columns *once* into a
+shared-memory block (:func:`~repro.runtime.transport.encode_batch`: one
+``uint64`` lane per 64 field bits, presence bytes, identical packet
+dicts encoded once), workers attach to their member rows in place and
+write :class:`~repro.openflow.pipeline.PipelineResult` columns into
+worker-owned blocks; only mutation suffixes, block names and layouts
+cross the pipes.  Replies carry per-entry
 :class:`~repro.runtime.transport.FlowStatsDelta` packet/byte counts
 keyed by ``(table_id, position)`` entry refs
 (:class:`~repro.runtime.transport.EntryIndex`), which the parent folds
@@ -108,20 +108,21 @@ return value — built as packet fields + recorded rewrite overrides,
 bitwise-identical to the dict path, which the differential property
 harness proves across the whole scenario catalog).
 
-**Decode-free worker protocol.**  When a ``PacketBatch`` is submitted
-to the sharded runner, the control message carries a ``columnar``
-flag; the worker *attaches* to the request block's
-columns in place (:meth:`~repro.runtime.transport.PacketBlockCodec.attach`)
-instead of decoding its member rows, classifies via
+**Decode-free worker protocol.**  The sharded runner has one request
+path: a dict batch is converted once at submission
+(:meth:`~repro.packet.batch.PacketBatch.from_dicts`, whose row cache
+keeps the caller's own dicts), so every batch reaches the workers as
+columns.  The worker *attaches* to the request block's columns in place
+(:func:`~repro.runtime.transport.attach`), classifies via
 :meth:`~repro.runtime.batch.BatchPipeline.classify_columnar`, and
 encodes its reply straight from the megaflow templates
 (:func:`~repro.runtime.transport.encode_outcomes`): flags, ports,
 matched-entry refs and action vocabularies come from the cached
 aggregate, rewrite overrides from the entry's recorded override dict,
-frame lengths from the ``frame_len`` lane — so the shm decode step
-disappears from the common (cache-hit) case and only miss rows are
-ever materialised worker-side.  The parent's collect path is unchanged
-and resolves replies against its own pinned tables.
+frame lengths from the ``frame_len`` lane — so the common (cache-hit)
+case never decodes a row, and only miss rows are ever materialised
+worker-side.  The parent resolves replies against its own pinned
+tables and the caller's dicts.
 
 **Out-of-order collection.**  The in-flight window is keyed by ``seq``:
 :meth:`~repro.runtime.shard.ShardedBatchPipeline.collect_batch` takes
@@ -269,11 +270,7 @@ from repro.runtime.supervise import (
     WorkerCrashError,
     WorkerSupervisor,
 )
-from repro.runtime.transport import (
-    EntryIndex,
-    FlowStatsDelta,
-    PacketBlockCodec,
-)
+from repro.runtime.transport import EntryIndex, FlowStatsDelta
 
 __all__ = [
     "ARRIVALS",
@@ -294,7 +291,6 @@ __all__ = [
     "MegaflowRecorder",
     "MicroflowCache",
     "PacketBatch",
-    "PacketBlockCodec",
     "PipelineSpec",
     "PoisonBatchError",
     "SCENARIOS",

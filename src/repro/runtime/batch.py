@@ -30,7 +30,7 @@ property of the scalar path carries over to the batched path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from collections.abc import Iterator, Mapping, Sequence
 from typing import Any, Protocol
 
@@ -97,6 +97,16 @@ class BatchStats:
     @property
     def waves_per_batch(self) -> float:
         return self.waves / self.batches if self.batches else 0.0
+
+    def since(self, before: BatchStats) -> BatchStats:
+        """Field-wise ``self - before``: the counters one runner accrued
+        between two of its snapshots."""
+        return BatchStats(
+            **{
+                f.name: getattr(self, f.name) - getattr(before, f.name)
+                for f in fields(BatchStats)
+            }
+        )
 
 
 class BatchPipeline:
@@ -629,20 +639,6 @@ def run_workload(
             stats.flow_removed.extend(runner.advance_clock(delta))
         else:
             raise ValueError(f"unknown workload event kind {kind!r}")
-    after = runner.stats_snapshot()
-    stats.packets = after.packets - before.packets
-    stats.matched = after.matched - before.matched
-    stats.sent_to_controller = (
-        after.sent_to_controller - before.sent_to_controller
-    )
-    stats.dropped = after.dropped - before.dropped
-    stats.cache_hits = after.cache_hits - before.cache_hits
-    stats.cache_misses = after.cache_misses - before.cache_misses
-    stats.megaflow_hits = after.megaflow_hits - before.megaflow_hits
-    stats.megaflow_misses = after.megaflow_misses - before.megaflow_misses
-    stats.waves = after.waves - before.waves
-    stats.flow_packets = after.flow_packets - before.flow_packets
-    stats.flow_bytes = after.flow_bytes - before.flow_bytes
-    stats.advances = after.advances - before.advances
-    stats.expired = after.expired - before.expired
-    return stats
+    counters = vars(runner.stats_snapshot().since(before))
+    del counters["batches"]  # counted per chunk above
+    return replace(stats, **counters)

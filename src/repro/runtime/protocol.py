@@ -91,16 +91,14 @@ Mutation = AddMutation | RemoveMutation | ExpireMutation
 
 
 class ShmRequest(NamedTuple):
-    """Shared-memory work item: the batch travels as a block the worker
-    attaches to; ``members_key`` names this worker's position array
-    inside it, ``slot`` the response-ring slot to reply through.
+    """Shared-memory work item: the batch travels as a block of columns
+    the worker attaches to and classifies in place; ``members_key``
+    names this worker's position array inside it, ``slot`` the
+    response-ring slot to reply through.
 
-    ``columnar`` is set when the batch was submitted as a
-    :class:`~repro.packet.batch.PacketBatch` (the worker then classifies
-    the block's columns in place); ``bypass`` asks the worker to skip
-    its megaflow tier for this batch (the streaming ladder's rung 2).
-    Both ride in the request template, so a replayed batch is
-    classified exactly as the original was."""
+    ``bypass`` asks the worker to skip its megaflow tier for this batch
+    (the streaming ladder's rung 2).  It rides in the request template,
+    so a replayed batch is classified exactly as the original was."""
 
     kind: Literal["shm"]
     seq: int
@@ -110,7 +108,6 @@ class ShmRequest(NamedTuple):
     segments: tuple[Segment, ...]
     layout: PacketBlockLayout
     members_key: str
-    columnar: bool
     bypass: bool
 
 
@@ -124,7 +121,9 @@ class CloseRequest(NamedTuple):
 class ShmReply(NamedTuple):
     """Shared-memory reply: results stay columnar in the worker's
     response block; the parent decodes them against its own pinned
-    tables via the layout + action vocabulary."""
+    tables via the layout + action vocabulary.  ``stats`` holds the
+    counters this batch added (a difference, not the worker's running
+    totals), so the parent can sum replies from any replica."""
 
     kind: Literal["ok"]
     block_name: str
@@ -157,7 +156,7 @@ class InlineReply(NamedTuple):
     Never crosses a pipe: the parent parks it straight into its reply
     buffer so the collect path handles degraded shards through the
     same ``(seq, worker)`` machinery as live ones.  Results are already
-    materialised, so no mask-fields/columnar payload rides along."""
+    materialised, so no mask-fields/block payload rides along."""
 
     kind: Literal["inline"]
     results: list[PipelineResult]

@@ -7,13 +7,26 @@ not — so :class:`ShardedBatchPipeline` splits each batch across
 (rebuilt from a picklable :class:`PipelineSpec` snapshot) with its own
 microflow/megaflow cache stack.
 
-**Sharding** hashes each packet onto a worker by its megaflow-relevant
-key: initially the full sorted field tuple, then — as workers report the
-fields their megaflow masks actually constrain — only that consulted
-union, so every packet of one traffic aggregate lands on the worker that
-already caches its megaflow entry.  Sharding choices never affect
-results (any worker classifies any packet identically); they only steer
-cache locality.
+**One request path.**  Every batch travels as a
+:class:`~repro.packet.batch.PacketBatch`: a dict batch is converted once
+at submission (:meth:`~repro.packet.batch.PacketBatch.from_dicts` keeps
+the caller's own dicts as its row cache, so the parent decodes replies
+and classifies degraded shards against the very objects it was handed).
+From there each batch takes the same steps: one vectorized worker
+assignment, one encode into the request block, an in-place attach plus
+:meth:`~repro.runtime.batch.BatchPipeline.classify_columnar` in the
+worker, and :func:`~repro.runtime.transport.encode_outcomes` for the
+reply — only rows that miss both cache tiers are ever materialised as
+dicts worker-side.
+
+**Sharding** (:meth:`ShardedBatchPipeline.shard_rows`) hashes each
+packet onto a worker by its megaflow-relevant key, in one vectorized
+pass over the key fields' lanes per batch: initially every field but
+``frame_len``, then — as workers report the fields their megaflow masks
+actually constrain — only that consulted union, so every packet of one
+traffic aggregate lands on the worker that already caches its megaflow
+entry.  Sharding choices never affect results (any worker classifies
+any packet identically); they only steer cache locality.
 
 **Consistency** uses a mutation log: the parent applies every flow-mod
 to its authoritative pipeline *and* appends it to an ordered log
@@ -28,15 +41,19 @@ batch instead of splitting one batch across two table states — and
 replicas stay sequentially consistent with the single-process runner,
 results bitwise-identical.
 
-**Transport** is shared memory: the parent encodes each batch once
-into a columnar :class:`~repro.runtime.transport.PacketBlockCodec`
-block, workers read their member rows in place and write results into
-worker-owned blocks, and only tiny control messages (mutation
-suffixes, block names, layouts) cross the pipes.  Every reply
-carries a :class:`~repro.runtime.transport.FlowStatsDelta` — per-entry
-packet/byte counts the parent folds back into its authoritative
-:class:`~repro.openflow.flow.FlowEntry` counters — so flow stats match
-the single-process run exactly instead of being stranded in replicas.
+**Transport** is shared memory: the parent writes each batch's columns
+once into a parent-owned block
+(:func:`~repro.runtime.transport.encode_batch`), workers attach to
+their member rows in place (:func:`~repro.runtime.transport.attach`)
+and write results into worker-owned blocks, and only tiny control
+messages (mutation suffixes, block names, layouts) cross the pipes.
+Every reply carries a :class:`~repro.runtime.transport.FlowStatsDelta`
+— per-entry packet/byte counts the parent folds back into its
+authoritative :class:`~repro.openflow.flow.FlowEntry` counters — so
+flow stats match the single-process run exactly instead of being
+stranded in replicas — and the batch's cache/megaflow/wave counter
+*difference*, which the parent adds into one running total: a respawn
+or a degraded shard can neither rewind nor double-count it.
 
 **Pipelining** removes the lockstep round-trip: each direction keeps a
 ring of ``depth`` shared blocks (request slot ``seq % depth`` parent-
@@ -59,17 +76,6 @@ in submission order; replies for other in-flight batches that arrive
 while waiting are parked in a ``(seq, worker)`` buffer and handed out
 at their own collect.  Ring-slot safety is preserved: submitting onto a
 slot still held by an uncollected batch raises.
-
-**Columnar submissions** (a :class:`~repro.packet.batch.PacketBatch`)
-make the workers *decode-free*: the control message carries a
-``columnar`` flag, the worker attaches to the request block's columns
-in place and classifies through
-:meth:`~repro.runtime.batch.BatchPipeline.classify_columnar`, encoding
-its reply straight from the megaflow templates
-(:func:`~repro.runtime.transport.encode_outcomes`) — only rows that
-miss both cache tiers are ever materialised as dicts worker-side.
-Worker assignment hashes the shard fields' lanes in one vectorized
-pass per batch.
 
 **Fault tolerance.**  Workers are supervised
 (:mod:`repro.runtime.supervise`): every collect-side wait is
@@ -155,11 +161,11 @@ from repro.runtime.transport import (
     BlockWriter,
     EntryIndex,
     FlowStatsDelta,
-    PacketBlockCodec,
     SharedBlock,
+    attach,
     decode_results,
+    encode_batch,
     encode_outcomes,
-    encode_results,
     ensure_resource_tracker,
     unlink_segment,
 )
@@ -378,7 +384,6 @@ def _apply_mutations(
 def _serve_shm(
     runner: BatchPipeline,
     index: EntryIndex,
-    codec: PacketBlockCodec,
     request_blocks: BlockAttachments,
     response: SharedBlock,
     message: ShmRequest,
@@ -387,32 +392,26 @@ def _serve_shm(
     worker_id: int,
 ) -> ShmReply:
     # All numpy views over the shared blocks are confined to this frame
-    # (codec.attach gathers copies): they must be garbage before close()
-    # can unmap the segments.
+    # (attach gathers copies): they must be garbage before close() can
+    # unmap the segments.
     _, seq, slot, mutations, block_name, segments, layout, members_key, (
-        columnar
-    ), bypass = message
+        bypass
+    ) = message
     faults.fire(worker_id, seq, "after-receive")
     _apply_mutations(runner.pipeline, mutations)
     faults.fire(worker_id, seq, "mid-classify")
+    before = runner.stats_snapshot()
     runner.megaflow_bypass = bypass
     reader = BlockReader(request_blocks.buf(block_name), segments)
     writer = BlockWriter()
-    if columnar:
-        # Decode-free: classify straight off the block's columns; only
-        # rows that miss both cache tiers are ever materialised as
-        # dicts, and megaflow hits are encoded from their templates.
-        batch = codec.attach(reader, layout, reader.get(members_key))
-        outcomes = runner.classify_columnar(batch)
-        result_layout, vocabulary, delta = encode_outcomes(
-            writer, outcomes, index
-        )
-    else:
-        packets = codec.decode(reader, layout, reader.get(members_key))
-        results = runner.process_batch(packets)
-        result_layout, vocabulary, delta = encode_results(
-            writer, results, index, packets
-        )
+    # Classify straight off the block's columns; only rows that miss
+    # both cache tiers are ever materialised as dicts, and megaflow hits
+    # are encoded from their templates.
+    batch = attach(reader, layout, reader.get(members_key))
+    outcomes = runner.classify_columnar(batch)
+    result_layout, vocabulary, delta = encode_outcomes(
+        writer, outcomes, index
+    )
     runner.megaflow_bypass = False
     faults.fire(worker_id, seq, "after-stats")
     # Announce-before-create: the parent's crash registry must know the
@@ -430,7 +429,7 @@ def _serve_shm(
         result_layout,
         vocabulary,
         _mask_fields(runner),
-        runner.stats_snapshot(),
+        runner.stats_snapshot().since(before),
         delta,
     )
     faults.fire(worker_id, seq, "before-reply")
@@ -456,8 +455,8 @@ def _worker_main(
     """Worker loop: apply log suffix, classify sub-batch, reply.
 
     Each ``("shm", seq, slot, ...)`` request is answered with a
-    :class:`ShmReply` carrying the worker's megaflow mask fields, its
-    stats snapshot and the batch's flow-stats delta.
+    :class:`ShmReply` carrying the worker's megaflow mask fields and the
+    batch's counter difference and flow-stats delta.
 
     The worker owns a ring of ``depth`` response blocks, indexed by the
     ``slot`` each shm message names.  The parent never keeps more than
@@ -484,7 +483,6 @@ def _worker_main(
         megaflow_capacity=megaflow_capacity,
     )
     index = EntryIndex(runner.pipeline)
-    codec = PacketBlockCodec()
     request_blocks = BlockAttachments()
     responses = [
         SharedBlock(name_prefix=f"reproshard{os.getpid()}s{slot}")
@@ -510,7 +508,6 @@ def _worker_main(
                     _serve_shm(
                         runner,
                         index,
-                        codec,
                         request_blocks,
                         responses[message[2]],
                         message,
@@ -534,15 +531,6 @@ def _mask_fields(runner: BatchPipeline) -> tuple[str, ...]:
     )
 
 
-def _stable_hash(items: tuple) -> int:
-    """Process-independent FNV-1a over the key's repr (``hash()`` is
-    salted per interpreter; sharding should be reproducible)."""
-    h = 0xCBF29CE484222325
-    for byte in repr(items).encode():
-        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
 # ----------------------------------------------------------------------
 # the sharded runner
 # ----------------------------------------------------------------------
@@ -562,7 +550,9 @@ class _InFlight:
     """
 
     seq: int
-    batch: Sequence[Mapping[str, int]]
+    #: The batch as submitted, converted to columns; a dict submission's
+    #: row cache holds the caller's own dicts.
+    batch: PacketBatch
     groups: dict[int, list[int]]
     pinned: Mapping[int, tuple]
     log_len: int
@@ -597,10 +587,6 @@ class ShardedBatchPipeline:
         workers: process count (default: ``os.cpu_count()``).
         cache_capacity / megaflow_capacity: per-worker cache stack, as
             in :class:`BatchPipeline`.
-        shard_fields: optional explicit field names to hash on; when
-            omitted, sharding starts on the full field tuple and
-            converges onto the megaflow-consulted union the workers
-            report.
         depth: maximum batches in flight (submitted, not yet collected).
             ``depth >= 2`` double-buffers the transport: the parent
             encodes and dispatches batch N+1 while the workers are still
@@ -641,7 +627,6 @@ class ShardedBatchPipeline:
         workers: int | None = None,
         cache_capacity: int | None = DEFAULT_CAPACITY,
         megaflow_capacity: int | None = None,
-        shard_fields: Sequence[str] | None = None,
         depth: int = 2,
         supervision: SupervisionConfig | None = None,
         fault_plan: FaultPlan | None = None,
@@ -670,13 +655,14 @@ class ShardedBatchPipeline:
         self._rule_state: SharedRuleState | None = None
         self._cache_capacity = cache_capacity
         self._megaflow_capacity = megaflow_capacity
-        self._shard_fields = tuple(shard_fields) if shard_fields else None
         self._learned_fields: set[str] = set()
         self._cursors = [0] * self.workers
-        self._worker_stats = [BatchStats() for _ in range(self.workers)]
+        #: Cache, megaflow and wave counters summed over every landed
+        #: reply (each carries its batch's difference, never a
+        #: cumulative snapshot), so respawns cannot rewind them.
+        self._worker_counters = BatchStats()
         self._conns: list = []
         self._procs: list = []
-        self._codec = PacketBlockCodec()
         self._entry_index = EntryIndex(pipeline)
         #: Request-block ring: slot ``seq % depth`` carries batch
         #: ``seq``'s columns, reused only after that batch is collected.
@@ -850,7 +836,6 @@ class ShardedBatchPipeline:
         self._conns = []
         self._procs = []
         self._cursors = [0] * self.workers
-        self._worker_stats = [BatchStats() for _ in range(self.workers)]
         self._worker_pending = [deque() for _ in range(self.workers)]
         self._reply_buffer.clear()
         self._responses.close()
@@ -891,60 +876,35 @@ class ShardedBatchPipeline:
 
     # -- sharding ------------------------------------------------------
 
-    def shard_of(self, packet_fields: Mapping[str, int]) -> int:
-        """Worker index for a packet, by megaflow-key hash."""
-        names = self._shard_fields
-        if names is None and self._learned_fields:
-            names = tuple(sorted(self._learned_fields))
-        if names:
-            key = tuple((n, packet_fields.get(n)) for n in names)
-        else:
-            # frame_len is switch metadata: per-packet length
-            # distributions must not scatter a flow across workers.
-            key = tuple(
+    def shard_rows(self, batch: PacketBatch) -> np.ndarray:
+        """Worker index for each batch position, by megaflow-key hash.
+
+        One vectorized hash pass over the key fields' lanes (per
+        distinct row, fanned out by ``pick``).  The hash is stable per
+        key across processes and runs, so an aggregate's packets
+        converge on one worker.
+        """
+        names = tuple(sorted(self._learned_fields))
+        if not names:
+            # Cold-start fallback: all columns except frame_len —
+            # per-packet length distributions (imix/pareto) would
+            # otherwise scatter one flow's packets across workers.
+            names = tuple(
                 sorted(
-                    item
-                    for item in packet_fields.items()
-                    if item[0] != FRAME_LEN_FIELD
+                    name
+                    for name in batch.field_names()
+                    if name != FRAME_LEN_FIELD
                 )
             )
-        return _stable_hash(key) % self.workers
+        hashes = batch.key_hashes(names)
+        workers = (hashes % np.uint64(self.workers)).astype(np.int64)
+        return workers[batch.pick]
 
-    def _shard_groups(
-        self, batch: Sequence[Mapping[str, int]] | PacketBatch
-    ) -> dict[int, list[int]]:
-        """Positions per worker for one batch.
-
-        Columnar batches assign workers with one vectorized hash pass
-        over the shard fields' lanes (per distinct row, fanned out by
-        ``pick``); the hash differs from the dict path's — sharding
-        steers only cache locality, never results — but is equally
-        stable per key, so an aggregate's packets still converge on one
-        worker.
-        """
+    def _shard_groups(self, batch: PacketBatch) -> dict[int, list[int]]:
+        """Positions per worker for one batch."""
         groups: dict[int, list[int]] = {}
-        if isinstance(batch, PacketBatch):
-            names = self._shard_fields
-            if names is None and self._learned_fields:
-                names = tuple(sorted(self._learned_fields))
-            if not names:
-                # Cold-start fallback: all columns except frame_len —
-                # per-packet length distributions (imix/pareto) would
-                # otherwise scatter one flow's packets across workers.
-                names = tuple(
-                    sorted(
-                        name
-                        for name in batch.field_names()
-                        if name != FRAME_LEN_FIELD
-                    )
-                )
-            hashes = batch.key_hashes(names)
-            workers = (hashes % np.uint64(self.workers)).astype(np.int64)
-            for i, worker in enumerate(workers[batch.pick].tolist()):
-                groups.setdefault(worker, []).append(i)
-        else:
-            for i, fields in enumerate(batch):
-                groups.setdefault(self.shard_of(fields), []).append(i)
+        for i, worker in enumerate(self.shard_rows(batch).tolist()):
+            groups.setdefault(worker, []).append(i)
         if self._supervisor.disabled:
             groups = self._reroute(groups)
         return groups
@@ -1259,7 +1219,9 @@ class ShardedBatchPipeline:
     # -- dispatch/collect internals ------------------------------------
 
     def _submit(
-        self, batch: Sequence[Mapping[str, int]], bypass: bool = False
+        self,
+        batch: Sequence[Mapping[str, int]] | PacketBatch,
+        bypass: bool = False,
     ) -> bool:
         """Encode, dispatch and register one batch; False when empty.
 
@@ -1279,6 +1241,11 @@ class ShardedBatchPipeline:
         self.batches += 1
         if not len(batch):
             return False
+        if not isinstance(batch, PacketBatch):
+            # The one request path: a dict batch becomes columns here,
+            # once.  Its row cache keeps the caller's dicts, so reply
+            # decoding and inline classification see the same objects.
+            batch = PacketBatch.from_dicts(batch)
         self._ensure_started()
         # One atomic snapshot per *submitted* batch, under the mutation
         # lock: the log length (every worker catches up to the same
@@ -1319,7 +1286,7 @@ class ShardedBatchPipeline:
     def _encode(
         self,
         seq: int,
-        batch: Sequence[Mapping[str, int]] | PacketBatch,
+        batch: PacketBatch,
         groups: Mapping[int, list[int]],
         bypass: bool = False,
     ) -> dict[int, ShmRequest]:
@@ -1335,7 +1302,7 @@ class ShardedBatchPipeline:
         slot = seq % self.depth
         request = self._requests[slot]
         writer = BlockWriter()
-        layout = self._codec.encode(writer, batch, "pkt")
+        layout = encode_batch(writer, batch, "pkt")
         for worker in live:
             writer.put(
                 f"members/{worker}",
@@ -1343,10 +1310,6 @@ class ShardedBatchPipeline:
             )
         request.ensure(writer.nbytes)
         segments = writer.write_to(request.buf)
-        # A batch submitted columnar is classified columnar: the worker
-        # attaches to the block's columns in place (decode-free) instead
-        # of materialising every member row up front.
-        columnar = isinstance(batch, PacketBatch)
         return {
             worker: ShmRequest(
                 "shm",
@@ -1357,7 +1320,6 @@ class ShardedBatchPipeline:
                 segments,
                 layout,
                 f"members/{worker}",
-                columnar,
                 bypass,
             )
             for worker in live
@@ -1465,13 +1427,18 @@ class ShardedBatchPipeline:
             else:
                 worker_results, mask_fields, stats, delta = (
                     self._decode_reply(
-                        reply, pinned, [batch[i] for i in members]
+                        reply, pinned, [batch.fields_at(i) for i in members]
                     )
                 )
                 self._learned_fields.update(mask_fields)
             for i, result in zip(members, worker_results):
                 results[i] = result
-            self._worker_stats[worker] = stats
+            counters = self._worker_counters
+            counters.cache_hits += stats.cache_hits
+            counters.cache_misses += stats.cache_misses
+            counters.megaflow_hits += stats.megaflow_hits
+            counters.megaflow_misses += stats.megaflow_misses
+            counters.waves += stats.waves
             merged_packets, merged_bytes = delta.apply(pinned)
             self.flow_packets += merged_packets
             self.flow_bytes += merged_bytes
@@ -1545,7 +1512,6 @@ class ShardedBatchPipeline:
         self._conns[worker] = conn
         self._procs[worker] = proc
         self._cursors[worker] = 0
-        self._worker_stats[worker] = BatchStats()
         sup.stats.restarts += 1
         # Deterministic replay: each lost seq re-sent in order, the log
         # suffix recomputed against the fresh replica's zero cursor and
@@ -1620,14 +1586,15 @@ class ShardedBatchPipeline:
         )
         _apply_mutations(runner.pipeline, suffix)
         self._inline_cursor = inflight.log_len
-        packets = [inflight.batch[i] for i in members]
+        packets = [inflight.batch.fields_at(i) for i in members]
+        before = runner.stats_snapshot()
         runner.megaflow_bypass = inflight.bypass
         results = runner.process_batch(packets)
         runner.megaflow_bypass = False
         assert self._inline_index is not None
         delta = FlowStatsDelta.from_results(results, self._inline_index)
         self._reply_buffer[(seq, worker)] = InlineReply(
-            "inline", results, runner.stats_snapshot(), delta
+            "inline", results, runner.stats_snapshot().since(before), delta
         )
         self._supervisor.stats.inline_packets += len(packets)
 
@@ -1725,30 +1692,29 @@ class ShardedBatchPipeline:
 
     def stats_snapshot(self) -> BatchStats:
         """Parent-side traffic counters merged with the workers' cache,
-        megaflow and wave counters (as of each worker's last reply).
+        megaflow and wave counters (summed over every landed reply).
 
         ``flow_packets`` / ``flow_bytes`` come from the parent's own
         merged deltas (authoritative), never the worker snapshots — the
         workers' copies would double-count them.
         """
-        stats = BatchStats(
+        counters = self._worker_counters
+        return BatchStats(
             packets=self.packets,
             batches=self.batches,
             matched=self.matched,
             sent_to_controller=self.sent_to_controller,
             dropped=self.dropped,
+            cache_hits=counters.cache_hits,
+            cache_misses=counters.cache_misses,
+            megaflow_hits=counters.megaflow_hits,
+            megaflow_misses=counters.megaflow_misses,
+            waves=counters.waves,
             flow_packets=self.flow_packets,
             flow_bytes=self.flow_bytes,
             advances=self.lifecycle.stats.advances,
             expired=self.lifecycle.stats.expired,
         )
-        for worker_stats in self._worker_stats:
-            stats.cache_hits += worker_stats.cache_hits
-            stats.cache_misses += worker_stats.cache_misses
-            stats.megaflow_hits += worker_stats.megaflow_hits
-            stats.megaflow_misses += worker_stats.megaflow_misses
-            stats.waves += worker_stats.waves
-        return stats
 
     def supervision_snapshot(self) -> dict[str, int]:
         """Cumulative recovery counters: crashes, wedges, restarts,

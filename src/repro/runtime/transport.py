@@ -5,26 +5,27 @@ lists travel between the parent and its workers through shared memory
 rather than being pickled through a ``multiprocessing`` pipe per worker
 per batch; only tiny control messages cross the pipe:
 
-**Packet blocks.**  :class:`PacketBlockCodec` lays a batch out as flat
-numpy columns — per field, one ``uint64`` lane per 64 bits of width
-(widths from the canonical :func:`repro.packet.headers.transport_schema`)
-plus a presence byte when some packet lacks the field.  Identical packet
-*objects* (the common case: traces sample a flow pool of shared dicts)
-are encoded once and reconstructed once, with a per-packet indirection
-column — the columnar twin of pickle's memo, at a fraction of the cost.
-The parent encodes the whole batch **once** into one parent-owned block;
-each worker reads only its member rows (its member-index array lives in
-the same block), so fan-out cost no longer scales with worker count.
+**Packet blocks.**  :func:`encode_batch` writes a
+:class:`~repro.packet.batch.PacketBatch`'s columns as they are — per
+field, one ``uint64`` lane per 64 bits of width (widths from the
+canonical :func:`repro.packet.headers.transport_schema`) plus a presence
+byte when some packet lacks the field — and its ``pick`` indirection,
+so identical packet *objects* (the common case: traces sample a flow
+pool of shared dicts) cross once, the columnar twin of pickle's memo at
+a fraction of the cost.  The parent encodes the whole batch **once**
+into one parent-owned block; each worker attaches (:func:`attach`) to
+only its member rows (its member-index array lives in the same block),
+so fan-out cost no longer scales with worker count.
 
-**Result blocks.**  Workers encode their
-:class:`~repro.openflow.pipeline.PipelineResult` lists columnar into a
-worker-owned block: fixed-width columns for flags/metadata, offset+value
-columns for the variable-length lists, final fields as rewrite
-overrides against the input packets the parent already holds, applied
-actions as indices into a tiny per-batch action vocabulary (pickled in
-the control reply — distinct actions per batch are few), and matched
-entries as ``(table_id, position)``
-**entry refs** resolved against each side's own tables.
+**Result blocks.**  Workers encode their classification
+(:func:`encode_outcomes`) columnar into a worker-owned block:
+fixed-width columns for flags/metadata, offset+value columns for the
+variable-length lists, final fields as rewrite overrides against the
+input packets the parent already holds, applied actions as indices into
+a tiny per-batch action vocabulary (pickled in the control reply —
+distinct actions per batch are few), and matched entries as
+``(table_id, position)`` **entry refs** resolved against each side's
+own tables.
 
 **Entry refs and the stats return path.**  :class:`EntryIndex` maps
 entries to positions in a table's deterministic
@@ -66,7 +67,7 @@ import numpy as np
 from repro.openflow.flow import FlowEntry
 from repro.openflow.pipeline import PipelineResult
 from repro.packet.batch import FieldLanes, PacketBatch
-from repro.packet.headers import frame_length, transport_schema
+from repro.packet.headers import frame_length
 
 if TYPE_CHECKING:  # runtime.batch imports nothing from here, but the
     # hint stays lazy so module import order never matters
@@ -329,7 +330,7 @@ class FieldColumn:
 
 @dataclass(frozen=True)
 class PacketBlockLayout:
-    """Decode recipe for one encoded batch of packet-field dicts."""
+    """Attach recipe for one encoded packet batch."""
 
     prefix: str
     count: int  # packets in the batch
@@ -337,120 +338,71 @@ class PacketBlockLayout:
     fields: tuple[FieldColumn, ...]
 
 
-class PacketBlockCodec:
-    """Columnar codec for batches of ``{field name: int}`` dicts.
+def encode_batch(
+    writer: BlockWriter, batch: PacketBatch, prefix: str
+) -> PacketBlockLayout:
+    """Append a batch's pick/lane/presence arrays to the writer; returns
+    the layout.
 
-    Stateless apart from the schema, so the parent and every worker
-    construct their own from :func:`transport_schema` and agree on the
-    canonical column order without negotiation.
+    Rows are written once however many positions pick them, so
+    duplicate-heavy traces stay duplicate-heavy across the pipe.  A
+    sliced view is compacted first, so a chunk of a large event ships
+    only the rows it picks — never the whole backing store.
     """
+    batch = batch.compacted()
+    writer.put(f"{prefix}/pick", batch.pick.astype(np.int32))
+    columns: list[FieldColumn] = []
+    for name in batch.field_names():
+        lanes, present = batch.column(name)
+        if present is not None:
+            writer.put(f"{prefix}/{name}/present", present)
+        for lane_index, lane in enumerate(lanes):
+            writer.put(f"{prefix}/{name}/{lane_index}", lane)
+        columns.append(FieldColumn(name, len(lanes), present is not None))
+    return PacketBlockLayout(
+        prefix=prefix,
+        count=len(batch),
+        rows=batch.rows,
+        fields=tuple(columns),
+    )
 
-    def __init__(self, field_bits: Mapping[str, int] | None = None) -> None:
-        self.field_bits = dict(
-            field_bits if field_bits is not None else transport_schema()
+
+def attach(
+    reader: BlockReader,
+    layout: PacketBlockLayout,
+    positions: Sequence[int] | None = None,
+) -> PacketBatch:
+    """A :class:`PacketBatch` over (a subset of) an encoded block.
+
+    Only the rows the selected positions actually pick are gathered
+    (copied out of the shared segment, so no view outlives the caller's
+    frame); dict materialisation stays lazy — this is the worker's
+    entry point.
+    """
+    prefix = layout.prefix
+    pick = reader.get(f"{prefix}/pick")
+    if positions is not None:
+        pick = pick[np.asarray(positions, dtype=np.int64)]
+    needed = np.unique(pick)
+    remap = np.zeros(
+        int(needed[-1]) + 1 if len(needed) else 1, dtype=np.int64
+    )
+    remap[needed] = np.arange(len(needed), dtype=np.int64)
+    columns: dict[str, FieldLanes] = {}
+    for spec in layout.fields:
+        lanes = tuple(
+            reader.get(f"{prefix}/{spec.name}/{lane_index}")[needed]
+            for lane_index in range(spec.lanes)
         )
-
-    # -- encode --------------------------------------------------------
-
-    def encode(
-        self,
-        writer: BlockWriter,
-        batch: PacketBatch | Sequence[Mapping[str, int]],
-        prefix: str,
-    ) -> PacketBlockLayout:
-        """Append a batch's columns to the writer; returns the layout.
-
-        Packets that are the *same dict object* are encoded once; the
-        ``pick`` column maps batch positions onto distinct rows, and
-        :meth:`decode` rebuilds the aliasing — so duplicate-heavy traces
-        stay duplicate-heavy (and downstream per-batch memoization keeps
-        paying off) without re-serialising every repeat.  A
-        :class:`~repro.packet.batch.PacketBatch` is written as-is (its
-        columns already have this exact layout); a dict sequence is
-        columnarised first.
-        """
-        if not isinstance(batch, PacketBatch):
-            batch = PacketBatch.from_dicts(batch, self.field_bits)
-        return self.encode_batch(writer, batch, prefix)
-
-    def encode_batch(
-        self, writer: BlockWriter, batch: PacketBatch, prefix: str
-    ) -> PacketBlockLayout:
-        """Write a columnar batch's pick/lane/presence arrays.
-
-        A sliced view is compacted first, so a chunk of a large event
-        ships only the rows it picks — never the whole backing store.
-        """
-        batch = batch.compacted()
-        writer.put(f"{prefix}/pick", batch.pick.astype(np.int32))
-        columns: list[FieldColumn] = []
-        for name in batch.field_names():
-            lanes, present = batch.column(name)
-            if present is not None:
-                writer.put(f"{prefix}/{name}/present", present)
-            for lane_index, lane in enumerate(lanes):
-                writer.put(f"{prefix}/{name}/{lane_index}", lane)
-            columns.append(FieldColumn(name, len(lanes), present is not None))
-        return PacketBlockLayout(
-            prefix=prefix,
-            count=len(batch),
-            rows=batch.rows,
-            fields=tuple(columns),
+        present = (
+            reader.get(f"{prefix}/{spec.name}/present")[needed]
+            if spec.has_missing
+            else None
         )
-
-    # -- decode --------------------------------------------------------
-
-    def attach(
-        self,
-        reader: BlockReader,
-        layout: PacketBlockLayout,
-        positions: Sequence[int] | None = None,
-    ) -> PacketBatch:
-        """A :class:`PacketBatch` over (a subset of) an encoded block.
-
-        Only the rows the selected positions actually pick are gathered
-        (copied out of the shared segment, so no view outlives the
-        caller's frame); dict materialisation stays lazy — this is the
-        decode-free worker's entry point.
-        """
-        prefix = layout.prefix
-        pick = reader.get(f"{prefix}/pick")
-        if positions is not None:
-            pick = pick[np.asarray(positions, dtype=np.int64)]
-        needed = np.unique(pick)
-        remap = np.zeros(
-            int(needed[-1]) + 1 if len(needed) else 1, dtype=np.int64
-        )
-        remap[needed] = np.arange(len(needed), dtype=np.int64)
-        columns: dict[str, FieldLanes] = {}
-        for spec in layout.fields:
-            lanes = tuple(
-                reader.get(f"{prefix}/{spec.name}/{lane_index}")[needed]
-                for lane_index in range(spec.lanes)
-            )
-            present = (
-                reader.get(f"{prefix}/{spec.name}/present")[needed]
-                if spec.has_missing
-                else None
-            )
-            columns[spec.name] = FieldLanes(lanes, present)
-        return PacketBatch.from_columns(
-            len(needed), columns, remap[pick.astype(np.int64)]
-        )
-
-    def decode(
-        self,
-        reader: BlockReader,
-        layout: PacketBlockLayout,
-        positions: Sequence[int] | None = None,
-    ) -> list[dict[str, int]]:
-        """Rebuild (a subset of) the batch from its columns.
-
-        ``positions``, when given, selects batch positions (e.g. one
-        worker's members); every distinct row is still materialised at
-        most once and aliased across its duplicates.
-        """
-        return self.attach(reader, layout, positions).dicts()
+        columns[spec.name] = FieldLanes(lanes, present)
+    return PacketBatch.from_columns(
+        len(needed), columns, remap[pick.astype(np.int64)]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -540,7 +492,8 @@ class FlowStatsDelta:
     ) -> FlowStatsDelta:
         """Aggregate ``(entry ref, frame bytes)`` pairs (one per
         packet-match pair) into per-entry counts — the single definition
-        of the delta semantics, shared by both transports.
+        of the delta semantics, shared by worker replies and the parent's
+        inline fallback.
         """
         counts: dict[tuple[int, int], tuple[int, int]] = {}
         for key, frame_len in refs:
@@ -611,41 +564,15 @@ _RESULT_SENT = 1
 _RESULT_DROPPED = 2
 
 
-def encode_results(
-    writer: BlockWriter,
-    results: Sequence[PipelineResult],
-    index: EntryIndex,
-    inputs: Sequence[Mapping[str, int]],
-) -> tuple[ResultBlockLayout, list, FlowStatsDelta]:
-    """Encode a worker's results columnar; returns the layout, the
-    per-batch action vocabulary (for the control reply) and the
-    flow-stats delta (computed here because the matched-entry refs are
-    already in hand).
-
-    ``inputs`` are the packets the results came from (aligned): final
-    fields are shipped as rewrite overrides against them — processing
-    never deletes a header field, so ``final_fields`` is always the
-    input plus zero or more rewritten/added keys.
-    """
-    frame_lens = [frame_length(result.final_fields) for result in results]
-    vocabulary, delta = _encode_core(writer, results, frame_lens, index)
-    layout = ResultBlockLayout(
-        count=len(results),
-        overrides=tuple(
-            _overrides(result.final_fields, packet)
-            for result, packet in zip(results, inputs)
-        ),
-    )
-    return layout, vocabulary, delta
-
-
 def encode_outcomes(
     writer: BlockWriter,
     outcomes: ColumnarOutcomes,
     index: EntryIndex,
 ) -> tuple[ResultBlockLayout, list, FlowStatsDelta]:
     """Encode a :class:`~repro.runtime.batch.ColumnarOutcomes` columnar —
-    the decode-free worker's reply path.
+    the worker's reply path.  Returns the layout, the per-batch action
+    vocabulary (for the control reply) and the flow-stats delta
+    (computed here because the matched-entry refs are already in hand).
 
     Megaflow-hit positions are encoded straight from the cached
     template (flags, ports, matched refs, actions) with the entry's

@@ -12,11 +12,13 @@ import numpy as np
 
 from repro.analysis.lint import Config, check_source, run_paths
 from repro.filters.synthetic import _coverage_first
+from repro.packet.batch import PacketBatch
 from repro.runtime.transport import (
     BlockReader,
     BlockWriter,
-    PacketBlockCodec,
     SharedBlock,
+    attach,
+    encode_batch,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -48,17 +50,20 @@ class TestDtypeRegressions:
     lanes).  Pin the fixed behaviour."""
 
     def test_attach_pick_indirection_is_int64(self):
-        codec = PacketBlockCodec()
         writer = BlockWriter()
-        layout = codec.encode(
-            writer, [{"in_port": 1}, {"in_port": 2}, {"in_port": 1}], "pkt"
+        layout = encode_batch(
+            writer,
+            PacketBatch.from_dicts(
+                [{"in_port": 1}, {"in_port": 2}, {"in_port": 1}]
+            ),
+            "pkt",
         )
         block = SharedBlock()
         try:
             block.ensure(writer.nbytes)
             segments = writer.write_to(block.buf)
             reader = BlockReader(block.buf, segments)
-            attached = codec.attach(reader, layout, positions=[2, 0])
+            attached = attach(reader, layout, positions=[2, 0])
             assert attached.pick.dtype == np.int64
             assert attached.dicts() == [{"in_port": 1}, {"in_port": 1}]
             del reader, attached  # release views before unmapping

@@ -255,11 +255,13 @@ class TestStreamingGate:
 class TestCpuStamps:
     def test_cpu_sensitive_key_skipped_across_hosts(self):
         """A sharded ratio recorded on 1 cpu must not gate (or excuse) a
-        4-cpu runner — the key is skipped, not compared."""
+        4-cpu runner — without an absolute floor, the key is skipped,
+        not compared."""
         skipped: list[str] = []
         checks = check_regression.run_checks(
             {"sharded_vs_single": 0.24, "cached_batch_vs_decomposition": 20.0},
             {"sharded_vs_single": 0.1, "cached_batch_vs_decomposition": 8.0},
+            absolute_floors={},
             baseline_cpus={
                 "sharded_vs_single": 1,
                 "cached_batch_vs_decomposition": 1,
@@ -302,7 +304,12 @@ class TestCpuStamps:
         # Per-key stamp wins; unstamped keys fall back to cpu_count.
         assert cpus == {"a": 2, "sharded_vs_single": 8}
 
-    def test_main_passes_when_everything_cpu_skipped(self, tmp_path, capsys):
+    def test_main_passes_when_everything_cpu_skipped(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Every default cpu-sensitive key carries an absolute floor;
+        # drop the sharded one so the skip path is what runs.
+        monkeypatch.delitem(check_regression.ABSOLUTE_FLOORS, "sharded_vs_single")
         baseline = write_record(
             tmp_path / "base.json",
             {"sharded_vs_single": 0.24},
@@ -335,3 +342,23 @@ class TestCpuStamps:
         (check,) = checks
         assert check.floor == pytest.approx(0.8)  # the absolute floor
         assert not check.ok
+
+    def test_sharded_large_batch_gated_on_every_host(self):
+        """The large-batch sharded ratio keeps its absolute floor across
+        a cpu-stamp mismatch: a collapse fails, a merely lower ratio on
+        a different host passes."""
+        stamps = {
+            "baseline_cpus": {"sharded_vs_single": 1},
+            "current_cpus": {"sharded_vs_single": 4},
+        }
+        (collapsed,) = check_regression.run_checks(
+            {"sharded_vs_single": 0.5}, {"sharded_vs_single": 0.01}, **stamps
+        )
+        assert collapsed.floor == pytest.approx(
+            check_regression.ABSOLUTE_FLOORS["sharded_vs_single"]
+        )
+        assert not collapsed.ok
+        (lower,) = check_regression.run_checks(
+            {"sharded_vs_single": 0.5}, {"sharded_vs_single": 0.1}, **stamps
+        )
+        assert lower.ok

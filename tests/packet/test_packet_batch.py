@@ -9,7 +9,7 @@ from repro.packet.generator import PacketGenerator, TraceConfig
 from repro.packet.headers import FRAME_LEN_FIELD
 from repro.packet.parser import parse_batch
 from repro.packet.builder import build_packet
-from repro.runtime.transport import BlockReader, BlockWriter, PacketBlockCodec
+from repro.runtime.transport import BlockReader, BlockWriter, attach, encode_batch
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -62,13 +62,12 @@ def test_block_round_trip(example):
     """Encoding through a transport block and re-attaching loses nothing
     (the decode-free worker's view of a batch)."""
     trace = _trace(example)
-    codec = PacketBlockCodec()
     writer = BlockWriter()
-    layout = codec.encode(writer, trace, "pkt")
+    layout = encode_batch(writer, PacketBatch.from_dicts(trace), "pkt")
     buf = bytearray(writer.nbytes)
     segments = writer.write_to(memoryview(buf))
     reader = BlockReader(memoryview(buf), segments)
-    decoded = codec.attach(reader, layout).dicts()
+    decoded = attach(reader, layout).dicts()
     assert decoded == trace
     # Duplicate positions decode to one shared dict.
     for i, a in enumerate(trace):
@@ -121,12 +120,11 @@ def test_select_and_getitem():
 
 def test_from_columns_materialises_lazily():
     trace = [{"ipv4_src": 7, "tcp_dst": 80}, {"ipv4_src": 7}]
-    codec = PacketBlockCodec()
     writer = BlockWriter()
-    layout = codec.encode(writer, trace, "pkt")
+    layout = encode_batch(writer, PacketBatch.from_dicts(trace), "pkt")
     buf = bytearray(writer.nbytes)
     segments = writer.write_to(memoryview(buf))
-    attached = codec.attach(BlockReader(memoryview(buf), segments), layout)
+    attached = attach(BlockReader(memoryview(buf), segments), layout)
     # Nothing materialised yet; one access materialises one row only.
     assert attached._store.row_cache == {}
     first = attached.fields_at(0)

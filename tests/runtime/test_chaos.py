@@ -38,6 +38,7 @@ from repro.runtime import (
 )
 from repro.runtime.faults import HANG_SECONDS, STEPS
 
+from tests.runtime.routed import RoutedSharded
 from tests.runtime.test_megaflow import assert_same_result
 from tests.runtime.test_shard import _shm_segments, make_arch
 
@@ -92,17 +93,10 @@ def _entry_counts(entries):
     )
 
 
-class _RoutedSharded(ShardedBatchPipeline):
-    """Packets go to the worker named by their ``shard_key`` field."""
-
-    def shard_of(self, packet_fields):
-        return packet_fields.get("shard_key", 0) % self.workers
-
-
 def routed_batches(rule_set, sizes, workers=2):
     """One batch per size; batch i's packets all carry
     ``shard_key = i % workers``, pinning it to that worker under
-    :class:`_RoutedSharded` without perturbing any matched field."""
+    :class:`RoutedSharded` without perturbing any matched field."""
     workload = SCENARIOS["zipf"](
         rule_set, packet_count=sum(sizes), flow_count=8
     )
@@ -135,7 +129,7 @@ class _FaultRun:
         self.expected = [single.process_batch(b) for b in self.batches]
         arch = make_arch(rule_set)
         self.entries = list(arch.tables[0])
-        self.sharded = _RoutedSharded(
+        self.sharded = RoutedSharded(
             arch,
             workers=workers,
             cache_capacity=64,
@@ -244,7 +238,7 @@ class TestCrashRecovery:
         defensive path used to strand worker response rings)."""
         batches = routed_batches(small_routing_set, (16, 16))
         before = _shm_segments()
-        sharded = _RoutedSharded(
+        sharded = RoutedSharded(
             make_arch(small_routing_set), workers=2, depth=2, cache_capacity=64
         )
         sharded.process_batch(batches[0])  # spin the fleet up
@@ -377,7 +371,7 @@ class TestPoisonAndBudgets:
         plan = FaultPlan(specs=(FaultSpec(0, 0, "after-receive", "crash"),))
         batches = routed_batches(small_routing_set, (16,))
         before = _shm_segments()
-        sharded = _RoutedSharded(
+        sharded = RoutedSharded(
             make_arch(small_routing_set),
             workers=2,
             fault_plan=plan,
@@ -394,7 +388,7 @@ class TestPoisonAndBudgets:
             specs=(FaultSpec(0, 0, "after-receive", "crash", sticky=True),)
         )
         batches = routed_batches(small_routing_set, (16,))
-        sharded = _RoutedSharded(
+        sharded = RoutedSharded(
             make_arch(small_routing_set),
             workers=2,
             fault_plan=plan,
@@ -403,6 +397,66 @@ class TestPoisonAndBudgets:
         with pytest.raises(PoisonBatchError):
             sharded.process_batch(batches[0])
         sharded.close()
+
+
+@needs_dev_shm
+class TestCountersUnderSupervision:
+    """Replies carry each batch's counter *difference* and the parent
+    adds every landed reply into one running total, so neither a
+    respawned replica (whose own counters restart at zero) nor the one
+    inline replica serving several degraded shards can make the cache
+    counters rewind or double-count."""
+
+    @pytest.mark.parametrize(
+        "faults, supervision",
+        [
+            pytest.param(
+                (FaultSpec(0, 10, "after-stats", "crash"),),
+                SupervisionConfig(),
+                id="respawn",
+            ),
+            pytest.param(
+                (
+                    FaultSpec(0, 2, "after-receive", "crash"),
+                    FaultSpec(1, 3, "after-receive", "crash"),
+                ),
+                SupervisionConfig(restart_budget=0),
+                id="both-degraded-inline",
+            ),
+        ],
+    )
+    def test_counters_never_rewind_or_double_count(
+        self, small_routing_set, faults, supervision
+    ):
+        batches = routed_batches(small_routing_set, (64,) * 16)
+        snapshots = []
+        with RoutedSharded(
+            make_arch(small_routing_set),
+            workers=2,
+            cache_capacity=64,
+            megaflow_capacity=128,
+            fault_plan=FaultPlan(specs=faults),
+            supervision=supervision,
+        ) as sharded:
+            for batch in batches:
+                sharded.process_batch(batch)
+                snapshots.append(sharded.stats_snapshot())
+            snapshot = sharded.supervision_snapshot()
+        assert snapshot["crashes"] == len(faults), "a fault never fired"
+        counters = (
+            "cache_hits",
+            "cache_misses",
+            "megaflow_hits",
+            "megaflow_misses",
+            "waves",
+        )
+        for earlier, later in zip(snapshots, snapshots[1:]):
+            for name in counters:
+                assert getattr(later, name) >= getattr(earlier, name), name
+        # One megaflow probe per packet, wherever it was classified.
+        final = snapshots[-1]
+        assert final.packets == 16 * 64
+        assert final.megaflow_hits + final.megaflow_misses == final.packets
 
 
 @needs_dev_shm
@@ -415,7 +469,7 @@ class TestOutOfOrderUnderFaults:
         single = BatchPipeline(make_arch(small_routing_set), cache_capacity=64)
         expected = [single.process_batch(batch) for batch in batches]
         plan = FaultPlan(specs=(FaultSpec(0, 0, "mid-classify", "hang"),))
-        with _RoutedSharded(
+        with RoutedSharded(
             make_arch(small_routing_set),
             workers=2,
             depth=2,
@@ -443,7 +497,7 @@ class TestOutOfOrderUnderFaults:
         single = BatchPipeline(make_arch(small_routing_set), cache_capacity=64)
         expected = [single.process_batch(batch) for batch in batches]
         plan = FaultPlan(specs=(FaultSpec(0, 0, "after-stats", "crash"),))
-        with _RoutedSharded(
+        with RoutedSharded(
             make_arch(small_routing_set),
             workers=2,
             depth=2,

@@ -12,6 +12,7 @@ from repro.openflow.actions import OutputAction
 from repro.openflow.flow import FlowEntry
 from repro.openflow.instructions import WriteActions
 from repro.openflow.match import Match
+from repro.packet.batch import PacketBatch
 from repro.runtime import (
     SCENARIOS,
     BatchPipeline,
@@ -20,6 +21,7 @@ from repro.runtime import (
     run_workload,
 )
 
+from tests.runtime.routed import RoutedSharded
 from tests.runtime.test_megaflow import assert_same_result
 
 
@@ -253,7 +255,8 @@ class TestMidBatchMutation:
         ) as sharded:
             # The probe must actually straddle both workers for the
             # mixed-state hazard to exist.
-            assert len({sharded.shard_of(fields) for fields in probe}) == 2
+            rows = sharded.shard_rows(PacketBatch.from_dicts(probe))
+            assert len(set(rows.tolist())) == 2
             before = sharded.process_batch(probe)
             sharded.process_batch(probe)  # warm worker caches
 
@@ -597,21 +600,13 @@ class TestSharedMemoryLifecycle:
         assert not leaked, f"segments left in /dev/shm: {sorted(leaked)}"
 
 
-class _RoutedSharded(ShardedBatchPipeline):
-    """Deterministic routing for the out-of-order tests: packets go to
-    the worker named by their ``in_port`` (mod workers)."""
-
-    def shard_of(self, packet_fields):
-        return packet_fields.get("in_port", 0) % self.workers
-
-
 class TestOutOfOrderCollect:
     """collect_batch(seq=...) / collect_any(): a slow shard must only
     stall the batches actually assigned to it."""
 
     def routed_batches(self, rule_set, sizes=(6, 4)):
         """One batch per worker: batch i's packets all carry in_port=i,
-        so _RoutedSharded pins batch 0 to worker 0 and batch 1 to
+        so RoutedSharded pins batch 0 to worker 0 and batch 1 to
         worker 1."""
         workload = SCENARIOS["zipf"](
             rule_set, packet_count=max(sizes) * 4, flow_count=8
@@ -632,7 +627,7 @@ class TestOutOfOrderCollect:
         batches = self.routed_batches(small_routing_set)
         single = BatchPipeline(make_arch(small_routing_set), cache_capacity=64)
         expected = [single.process_batch(batch) for batch in batches]
-        with _RoutedSharded(
+        with RoutedSharded(
             make_arch(small_routing_set), workers=2, depth=2, cache_capacity=64
         ) as sharded:
             seq0 = sharded.submit_batch(batches[0])
@@ -652,7 +647,7 @@ class TestOutOfOrderCollect:
 
     def test_collect_unknown_seq_rejected(self, small_routing_set):
         batches = self.routed_batches(small_routing_set)
-        with _RoutedSharded(
+        with RoutedSharded(
             make_arch(small_routing_set), workers=2, depth=2
         ) as sharded:
             with pytest.raises(RuntimeError, match="no batch in flight"):
@@ -676,7 +671,7 @@ class TestOutOfOrderCollect:
         single = BatchPipeline(make_arch(small_routing_set), cache_capacity=None)
         expected_light = single.process_batch(light)
         expected_heavy = single.process_batch(heavy)
-        with _RoutedSharded(
+        with RoutedSharded(
             make_arch(small_routing_set),
             workers=2,
             depth=2,
@@ -709,7 +704,7 @@ class TestOutOfOrderCollect:
         was collected: an out-of-order collect can leave the oldest
         batch holding the next submission's slot."""
         batches = self.routed_batches(small_routing_set, sizes=(4, 4, 4))
-        with _RoutedSharded(
+        with RoutedSharded(
             make_arch(small_routing_set), workers=3, depth=2
         ) as sharded:
             seq0 = sharded.submit_batch(batches[0])
@@ -728,7 +723,7 @@ class TestOutOfOrderCollect:
         batches = self.routed_batches(small_routing_set)
         single = BatchPipeline(make_arch(small_routing_set), cache_capacity=64)
         expected = [single.process_batch(batch) for batch in batches]
-        with _RoutedSharded(
+        with RoutedSharded(
             make_arch(small_routing_set), workers=2, depth=2, cache_capacity=64
         ) as sharded:
             sharded.submit_batch(batches[0])
@@ -775,28 +770,3 @@ class TestColumnarSharded:
             assert_same_result(a, b)
         assert got.flow_packets == expected.flow_packets
         assert got.flow_bytes == expected.flow_bytes
-
-    def test_columnar_worker_message_flag(self, small_routing_set):
-        """Columnar submissions are marked for the worker; dict ones are
-        not (the worker chooses the decode path per message)."""
-        from repro.packet.batch import PacketBatch
-
-        sent = []
-        with ShardedBatchPipeline(
-            make_arch(small_routing_set), workers=1, depth=1
-        ) as sharded:
-            trace = SCENARIOS["zipf"](
-                small_routing_set, packet_count=8, flow_count=4
-            ).events[0][1]
-            sharded.process_batch(trace)  # spawn + dict round
-            original = sharded._conns[0].send
-
-            def spy(message):
-                sent.append(message)
-                original(message)
-
-            sharded._conns[0].send = spy
-            sharded.process_batch(trace)
-            sharded.process_batch(PacketBatch.from_dicts(trace))
-        shm_messages = [m for m in sent if m[0] == "shm"]
-        assert [m.columnar for m in shm_messages] == [False, True]

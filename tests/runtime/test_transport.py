@@ -12,30 +12,32 @@ from repro.openflow.instructions import WriteActions
 from repro.openflow.match import Match
 from repro.openflow.pipeline import OpenFlowPipeline, PipelineResult
 from repro.openflow.table import FlowTable
+from repro.packet.batch import PacketBatch
 from repro.packet.headers import transport_schema
+from repro.runtime.batch import ColumnarOutcomes
 from repro.runtime.transport import (
     BlockReader,
     BlockWriter,
     EntryIndex,
     FlowStatsDelta,
     MIN_BLOCK_BYTES,
-    PacketBlockCodec,
     SharedBlock,
+    attach,
     decode_results,
-    encode_results,
+    encode_batch,
+    encode_outcomes,
 )
 
 
 def roundtrip(batch, positions=None):
-    codec = PacketBlockCodec()
     writer = BlockWriter()
-    layout = codec.encode(writer, batch, "pkt")
+    layout = encode_batch(writer, PacketBatch.from_dicts(batch), "pkt")
     block = SharedBlock()
     try:
         block.ensure(writer.nbytes)
         segments = writer.write_to(block.buf)
         reader = BlockReader(block.buf, segments)
-        decoded = codec.decode(reader, layout, positions)
+        decoded = attach(reader, layout, positions).dicts()
         del reader  # release numpy views before unmapping
         return decoded
     finally:
@@ -80,15 +82,14 @@ class TestPacketBlockCodec:
         flow = {"in_port": 9, "ipv4_dst": 1}
         other = {"in_port": 9, "ipv4_dst": 1}  # equal but distinct object
         batch = [flow, flow, other, flow]
-        codec = PacketBlockCodec()
         writer = BlockWriter()
-        layout = codec.encode(writer, batch, "pkt")
+        layout = encode_batch(writer, PacketBatch.from_dicts(batch), "pkt")
         assert layout.rows == 2  # identity-deduped, not value-deduped
         block = SharedBlock()
         try:
             block.ensure(writer.nbytes)
             reader = BlockReader(block.buf, writer.write_to(block.buf))
-            decoded = codec.decode(reader, layout)
+            decoded = attach(reader, layout).dicts()
             del reader
         finally:
             block.close()
@@ -111,10 +112,11 @@ class TestPacketBlockCodec:
     def test_schema_orders_canonical_fields_first(self):
         schema = list(transport_schema())
         assert schema.index("eth_dst") < schema.index("in_port")
-        codec = PacketBlockCodec()
         writer = BlockWriter()
-        layout = codec.encode(
-            writer, [{"zzz_extra": 1, "eth_dst": 2, "in_port": 3}], "pkt"
+        layout = encode_batch(
+            writer,
+            PacketBatch.from_dicts([{"zzz_extra": 1, "eth_dst": 2, "in_port": 3}]),
+            "pkt",
         )
         names = [column.name for column in layout.fields]
         assert names == ["eth_dst", "in_port", "zzz_extra"]
@@ -187,6 +189,19 @@ def _result(entry_tables, entries, ports, fields, actions=()):
     return result
 
 
+def _outcomes(packets, results):
+    """Outcomes whose every position was wave-classified into the given
+    synthetic result, so the encoder diffs each ``final_fields``
+    against its packet (no megaflow template to replay)."""
+    batch = PacketBatch.from_dicts(packets)
+    return ColumnarOutcomes(
+        batch=batch,
+        entries=[None] * len(results),
+        wave_results=dict(enumerate(results)),
+        frame=batch.frame_lengths(),
+    )
+
+
 class TestResultBlocks:
     def make_table(self):
         table = FlowTable(table_id=0)
@@ -219,8 +234,8 @@ class TestResultBlocks:
         results[2].final_fields["metadata"] = results[2].metadata
 
         writer = BlockWriter()
-        layout, vocabulary, delta = encode_results(
-            writer, results, index, packets
+        layout, vocabulary, delta = encode_outcomes(
+            writer, _outcomes(packets, results), index
         )
         assert delta.counts == {(0, 0): (1, 0), (0, 2): (1, 0)}
         block = SharedBlock()
@@ -269,8 +284,8 @@ class TestResultBlocks:
             dict(packets[1], vlan_vid=42, metadata=9),
         )
         writer = BlockWriter()
-        layout, vocabulary, _ = encode_results(
-            writer, [untouched, rewritten], index, packets
+        layout, vocabulary, _ = encode_outcomes(
+            writer, _outcomes(packets, [untouched, rewritten]), index
         )
         assert layout.overrides == (None, {"vlan_vid": 42, "metadata": 9})
         block = SharedBlock()
